@@ -46,13 +46,7 @@ from .harness import (
     model_problem,
     run_study,
 )
-from .linalg import (
-    cg_solve,
-    cholesky_dense,
-    cholesky_pivoted,
-    generalized_eig_dense,
-    spmv,
-)
+from .linalg import cg_solve, cholesky_dense, generalized_eig_dense
 from .mesh import (
     Mesh,
     MeshHierarchy,

@@ -24,15 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConvergenceError, DegenerateAugmentationError, SolverError
 from .fem import CoefficientField
-from .linalg import (
-    cholesky_pivoted,
-    generalized_eig_dense,
-    pcg_solve,
-    sign_fix,
-)
+from .linalg import cholesky_dense, generalized_eig_dense, pcg_solve, sign_fix
 from .mesh import MeshHierarchy
 from .multigrid import MGContext, build_mg_context, mg_solve, v_cycle
 
@@ -107,22 +103,27 @@ class SolverConfig:
 
 
 def b_orthonormalize(mass, vectors: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt in the mass inner product (columns, in order)."""
-    out = np.array(vectors, dtype=float)
-    for j in range(out.shape[1]):
-        v = out[:, j]
-        for i in range(j):
-            v -= float(out[:, i] @ (mass @ v)) * out[:, i]
-        norm = float(np.sqrt(v @ (mass @ v)))
-        if norm <= 0.0 or not np.isfinite(norm):
-            raise SolverError("mass-orthonormalization hit a zero column")
-        out[:, j] = v / norm
+    """Cholesky-QR in the mass inner product, run twice.
+
+    Each pass factors the mass Gram matrix ``V'BV = L L'`` and replaces
+    ``V`` by ``V L^{-T}``.  The QR factor with positive diagonal is unique,
+    so the result is the basis Gram-Schmidt would give (columns, in order);
+    the second pass removes the loss of orthogonality the first leaves on
+    ill-conditioned blocks.  Raises :class:`SolverError` when the mass Gram
+    matrix is non-finite or not numerically positive definite (e.g. a zero
+    column).
+    """
+    out = np.asarray(vectors, dtype=float)
+    for _ in range(2):
+        gram = out.T @ (mass @ out)
+        if not np.all(np.isfinite(gram)):
+            raise SolverError("mass-orthonormalization hit a non-finite column")
+        lower = cholesky_dense(gram)
+        out = scipy.linalg.solve_triangular(lower, out.T, lower=True).T
     return out
 
 
-def coarse_eigensolve(
-    ctx: MGContext, hierarchy: MeshHierarchy, q: int, level: int = 0
-) -> EigenApprox:
+def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
     """Dense solve of the level pencil for the ``q`` smallest eigenpairs."""
     a = ctx.stiffness[level]
     if q > a.shape[0]:
@@ -140,12 +141,16 @@ def augmented_ritz(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-filtered dense solve of the augmented-space pencil.
 
-    Pivoted Cholesky on ``b_aug`` decides which basis columns are
-    numerically dependent (relative pivot below ``drop_tol``); those are
-    removed before the eigensolve.  Returns eigenvalues, eigenvectors in the
-    retained basis, and the sorted indices of retained columns.
+    Diagonally pivoted Cholesky on ``b_aug`` (LAPACK ``dpstrf``) decides
+    which basis columns are numerically dependent: it stops once the largest
+    remaining pivot falls to ``drop_tol`` times the largest diagonal entry,
+    and the columns not yet pivoted are removed before the eigensolve.
+    Returns eigenvalues, eigenvectors in the retained basis, and the sorted
+    indices of retained columns.
     """
-    _, perm, rank = cholesky_pivoted(b_aug, drop_tol)
+    tol = drop_tol * float(b_aug.diagonal().max(initial=0.0))
+    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(b_aug, tol=tol)
+    perm = piv - 1
     if rank < q:
         raise DegenerateAugmentationError(
             "augmented basis has numerical rank %d < q = %d" % (rank, q)
@@ -159,10 +164,7 @@ def augmented_ritz(
 
 
 def one_correction_step(
-    ctx: MGContext,
-    hierarchy: MeshHierarchy,
-    approx: EigenApprox,
-    config: SolverConfig,
+    ctx: MGContext, approx: EigenApprox, config: SolverConfig
 ) -> EigenApprox:
     """Improve the eigenpairs on their level by one multigrid correction.
 
@@ -255,7 +257,7 @@ def full_multigrid(
     if ctx is None:
         ctx = build_mg_context(hierarchy, coeff, config.nu, config.smoother)
 
-    approx = coarse_eigensolve(ctx, hierarchy, config.q, level=start)
+    approx = coarse_eigensolve(ctx, config.q, level=start)
     if on_level is not None:
         on_level(approx)
     for k in range(start + 1, n):
@@ -263,7 +265,7 @@ def full_multigrid(
         vectors = sign_fix(b_orthonormalize(ctx.mass[k], vectors))
         approx = EigenApprox(k, approx.eigenvalues.copy(), vectors)
         for _ in range(config.p):
-            approx = one_correction_step(ctx, hierarchy, approx, config)
+            approx = one_correction_step(ctx, approx, config)
         if on_level is not None:
             on_level(approx)
     return approx
@@ -271,7 +273,6 @@ def full_multigrid(
 
 def direct_fine_solve(
     ctx: MGContext,
-    hierarchy: MeshHierarchy,
     q: int,
     tol: float,
     level: int | None = None,

@@ -266,7 +266,7 @@ def run_study(
     Richardson-extrapolated reference for both methods.  Output is
     deterministic apart from the wall-clock column.
     """
-    hierarchy = build_hierarchy(coarse_mesh, n_levels, config.coarse_index)
+    hierarchy = build_hierarchy(coarse_mesh, n_levels)
     ctx = build_mg_context(hierarchy, spec.coefficients, config.nu, config.smoother)
 
     snapshots = []
@@ -284,9 +284,7 @@ def run_study(
         for level in range(config.start_level, n_levels):
             ctx.reset_work()
             t_level = time.perf_counter()
-            approx = direct_fine_solve(
-                ctx, hierarchy, config.q, direct_tol, level=level, seed=seed
-            )
+            approx = direct_fine_solve(ctx, config.q, direct_tol, level=level, seed=seed)
             direct_results.append(
                 (approx, ctx.work_units, 1000.0 * (time.perf_counter() - t_level))
             )
@@ -296,10 +294,7 @@ def run_study(
         lam_coarse = direct_results[-2][0].eigenvalues
         lam_fine = direct_results[-1][0].eigenvalues
         reference = np.array(
-            [
-                extrapolate_reference(lc, lf, beta=float(hierarchy.beta))
-                for lc, lf in zip(lam_coarse, lam_fine)
-            ]
+            [extrapolate_reference(lc, lf) for lc, lf in zip(lam_coarse, lam_fine)]
         )
 
     rows = [

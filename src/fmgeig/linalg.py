@@ -3,45 +3,26 @@
 Sparse operators are scipy CSR arrays (sorted indices, numerically
 symmetric); vectors and dense matrices are plain ndarrays.  The module
 provides the conjugate gradient solver that doubles as the multigrid
-smoother, dense Cholesky factorizations (plain and pivoted with rank
-detection), and a generalized symmetric eigensolver built from Cholesky
-reduction plus cyclic Jacobi rotations.  The eigensolver is deliberately
-self-contained: it serves as the coarse-space solver and as the brute-force
-oracle the iterative paths are tested against.
+smoother, its flexibly preconditioned variant, dense Cholesky solves, and
+the generalized symmetric eigensolver of the coarse and augmented Ritz
+problems, which delegates to LAPACK through :func:`scipy.linalg.eigh`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.io
 import scipy.linalg
-import scipy.sparse as sp
 
-from .errors import ConvergenceError, NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError
 
 __all__ = [
-    "spmv",
     "cg_solve",
     "pcg_solve",
     "cholesky_dense",
-    "cholesky_pivoted",
     "cho_solve",
-    "jacobi_eigh",
     "generalized_eig_dense",
     "sign_fix",
-    "save_matrix",
-    "load_matrix",
 ]
-
-
-def spmv(matrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product ``y = M x``."""
-    x = np.asarray(x, dtype=float)
-    if matrix.shape[1] != x.shape[0]:
-        raise ValueError(
-            "dimension mismatch: matrix %r, vector %r" % (matrix.shape, x.shape)
-        )
-    return matrix @ x
 
 
 def cg_solve(
@@ -160,110 +141,10 @@ def cholesky_dense(matrix: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError("dense Cholesky failed: %s" % exc) from None
 
 
-def cholesky_pivoted(
-    matrix: np.ndarray, drop_tol: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Diagonally pivoted Cholesky with rank detection.
-
-    Factors ``M[perm][:, perm] ~ L L'`` column by column, always picking the
-    largest remaining diagonal as pivot, and stops once that diagonal falls
-    to ``drop_tol`` times the largest initial diagonal (or below zero).
-
-    Returns
-    -------
-    (L, perm, rank)
-        ``perm[:rank]`` are the retained columns in pivot order; the
-        remaining columns are numerically dependent on them at the given
-        tolerance.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    perm = np.arange(n)
-    lower = np.zeros((n, n))
-    d0 = float(a.diagonal().max(initial=0.0))
-    threshold = drop_tol * d0
-    rank = 0
-    for k in range(n):
-        diag = a.diagonal()
-        j = int(k + np.argmax(diag[k:]))
-        if diag[j] <= threshold:
-            break
-        if j != k:
-            a[[k, j], :] = a[[j, k], :]
-            a[:, [k, j]] = a[:, [j, k]]
-            lower[[k, j], :k] = lower[[j, k], :k]
-            perm[[k, j]] = perm[[j, k]]
-        pivot = np.sqrt(a[k, k])
-        lower[k, k] = pivot
-        lower[k + 1 :, k] = a[k + 1 :, k] / pivot
-        a[k + 1 :, k + 1 :] -= np.outer(lower[k + 1 :, k], lower[k + 1 :, k])
-        a[k, k:] = 0.0
-        a[k:, k] = 0.0
-        rank = k + 1
-    return lower[:, :rank], perm, rank
-
-
 def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L' x = b`` from a dense lower Cholesky factor."""
     y = scipy.linalg.solve_triangular(lower, b, lower=True)
     return scipy.linalg.solve_triangular(lower, y, lower=True, trans="T")
-
-
-def jacobi_eigh(
-    matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal entry above a small threshold
-    until the off-diagonal Frobenius norm falls below ``tol`` times the
-    matrix Frobenius norm.  Rotations preserve the trace, so the eigenvalue
-    sum matches the input trace to round-off.
-
-    Returns unsorted eigenvalues and the orthogonal matrix of eigenvectors
-    (one per column).
-    """
-    a = 0.5 * (np.asarray(matrix, dtype=float) + np.asarray(matrix, dtype=float).T)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), vecs
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), vecs
-    # Entries below this cannot push the off-norm above tol * fro.
-    skip = 1e-2 * tol * fro / n
-
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a - np.diag(a.diagonal())))
-        if off <= tol * fro:
-            return a.diagonal().copy(), vecs
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sgn = 1.0 if tau >= 0.0 else -1.0
-                t = sgn / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * vq
-                vecs[:, q] = s * vp + c * vq
-    raise ConvergenceError(
-        "Jacobi eigensolver did not converge in %d sweeps" % max_sweeps
-    )
 
 
 def sign_fix(vectors: np.ndarray) -> np.ndarray:
@@ -280,11 +161,15 @@ def generalized_eig_dense(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``q`` smallest eigenpairs of ``A y = lambda B y`` for symmetric A, SPD B.
 
-    Reduces via ``B = L L'`` to a standard symmetric problem on
-    ``L^{-1} A L^{-T}``, diagonalizes with cyclic Jacobi and maps the
-    eigenvectors back, so the returned vectors are B-orthonormal.
-    Eigenvalues come out ascending; ties keep the Jacobi output order.
-    Each vector is scaled so its largest-magnitude entry is positive.
+    Solved by LAPACK (:func:`scipy.linalg.eigh` restricted to the lowest
+    ``q`` indices), so the returned vectors are B-orthonormal.  Eigenvalues
+    come out ascending; ties keep LAPACK's output order.  Each vector is
+    scaled so its largest-magnitude entry is positive.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        When ``B`` is not positive definite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -294,22 +179,8 @@ def generalized_eig_dense(
     if not 1 <= q <= n:
         raise ValueError("q must be in 1..%d, got %r" % (n, q))
 
-    lower = cholesky_dense(b)
-    tmp = scipy.linalg.solve_triangular(lower, a, lower=True)
-    reduced = scipy.linalg.solve_triangular(lower, tmp.T, lower=True).T
-    vals, vecs = jacobi_eigh(reduced)
-    order = np.argsort(vals, kind="stable")[:q]
-    back = scipy.linalg.solve_triangular(lower, vecs[:, order], lower=True, trans="T")
-    return vals[order].copy(), sign_fix(back)
-
-
-def save_matrix(path, matrix) -> None:
-    """Write a sparse matrix as MatrixMarket coordinate text (debug aid)."""
-    scipy.io.mmwrite(path, sp.coo_matrix(matrix))
-
-
-def load_matrix(path) -> sp.csr_array:
-    """Read a MatrixMarket coordinate file back into CSR form."""
-    loaded = sp.csr_array(scipy.io.mmread(path))
-    loaded.sort_indices()
-    return loaded
+    try:
+        vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[0, q - 1])
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("generalized eigensolve failed: %s" % exc) from None
+    return vals, sign_fix(vecs)

@@ -8,28 +8,25 @@ densely.  A V-cycle smooths, restricts the residual, recurses with an exact
 solve at the bottom, corrects and smooths again.
 
 The default smoother is a fixed number of conjugate gradient steps, which
-makes the cycle slightly nonlinear in the right-hand side; damped Jacobi and
-symmetric Gauss-Seidel are available where a linear cycle is needed.
+makes the cycle slightly nonlinear in the right-hand side; damped Jacobi is
+available where a linear cycle is needed.
 A running counter accumulates smoothing work as sweeps times level dofs,
 the machine-independent cost measure reported by the benchmark harness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
-from .errors import SolverError
-from .fem import CoefficientField, DofMap, assemble_mass, assemble_stiffness, interior_dofmap
+from .fem import CoefficientField, assemble_mass, assemble_stiffness, interior_dofmap
 from .linalg import cg_solve, cho_solve, cholesky_dense
 from .mesh import MeshHierarchy
 
 __all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
 
-_SMOOTHERS = ("cg", "jacobi", "gs")
+_SMOOTHERS = ("cg", "jacobi")
 
 
 @dataclass
@@ -103,19 +100,10 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndar
         x, iters, _ = cg_solve(matrix, f, x, max_iters=ctx.nu, tol=0.0)
         ctx.work_units += iters * n
         return x
-    if ctx.smoother == "jacobi":
-        inv_diag = 1.0 / matrix.diagonal()
-        for _ in range(ctx.nu):
-            x = x + (2.0 / 3.0) * inv_diag * (f - matrix @ x)
-        ctx.work_units += ctx.nu * n
-        return x
-    # Symmetric Gauss-Seidel: forward then backward triangular sweeps.
-    lower = sp.tril(matrix, format="csr")
-    upper = sp.triu(matrix, format="csr")
+    inv_diag = 1.0 / matrix.diagonal()
     for _ in range(ctx.nu):
-        x = x + scipy.sparse.linalg.spsolve_triangular(lower, f - matrix @ x, lower=True)
-        x = x + scipy.sparse.linalg.spsolve_triangular(upper, f - matrix @ x, lower=False)
-    ctx.work_units += 2 * ctx.nu * n
+        x = x + (2.0 / 3.0) * inv_diag * (f - matrix @ x)
+    ctx.work_units += ctx.nu * n
     return x
 
 

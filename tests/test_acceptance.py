@@ -60,9 +60,7 @@ def model_run(model_coeff):
 @pytest.fixture(scope="module")
 def model_direct_finest(model_run):
     t0 = time.perf_counter()
-    out = fg.direct_fine_solve(
-        model_run["ctx"], model_run["hierarchy"], 1, 1e-9
-    )
+    out = fg.direct_fine_solve(model_run["ctx"], 1, 1e-9)
     model_run["direct_elapsed"] = time.perf_counter() - t0
     return out
 
@@ -88,7 +86,7 @@ def general_run():
     config = fg.SolverConfig(q=6, m=2, p=2, nu=2)
     fg.full_multigrid(hier, spec.coefficients, config, ctx=ctx, on_level=snaps.append)
     directs = [
-        fg.direct_fine_solve(ctx, hier, 6, 1e-9, level=level) for level in (3, 4)
+        fg.direct_fine_solve(ctx, 6, 1e-9, level=level) for level in (3, 4)
     ]
     reference = np.array(
         [
@@ -109,7 +107,7 @@ def test_criterion_01_oracle_equivalence(model_coeff):
     ctx = fg.build_mg_context(hier, model_coeff, nu=2)
     config = fg.SolverConfig(q=1, m=2, p=8, nu=2)
     out = fg.full_multigrid(hier, model_coeff, config, ctx=ctx)
-    oracle = fg.coarse_eigensolve(ctx, hier, 1, level=1)
+    oracle = fg.coarse_eigensolve(ctx, 1, level=1)
     elapsed = time.perf_counter() - t0
     rel = abs(out.eigenvalues[0] - oracle.eigenvalues[0]) / oracle.eigenvalues[0]
     passed = rel <= 1e-8 and elapsed < 1.0
@@ -194,11 +192,11 @@ def test_criterion_07_contraction(model_coeff):
     ctx = fg.build_mg_context(hier, model_coeff, nu=2)
     config = fg.SolverConfig(q=1, m=2, p=2, nu=2)
 
-    approx = fg.coarse_eigensolve(ctx, hier, 1)
+    approx = fg.coarse_eigensolve(ctx, 1)
     per_level_gamma = []
     all_ratios = []
     for k in range(1, hier.n_levels):
-        reference = fg.direct_fine_solve(ctx, hier, 1, 1e-11, level=k)
+        reference = fg.direct_fine_solve(ctx, 1, 1e-11, level=k)
         ref_vec = reference.vectors[:, 0]
         stiffness, mass = ctx.stiffness[k], ctx.mass[k]
         lifted = ctx.transfer[k - 1] @ approx.vectors
@@ -211,7 +209,7 @@ def test_criterion_07_contraction(model_coeff):
 
         errors = [energy_error(approx)]
         for _ in range(config.p):
-            approx = fg.one_correction_step(ctx, hier, approx, config)
+            approx = fg.one_correction_step(ctx, approx, config)
             errors.append(energy_error(approx))
         ratios = [errors[i + 1] / errors[i] for i in range(len(errors) - 1)]
         all_ratios.extend(ratios)
@@ -274,11 +272,11 @@ def test_criterion_09_invariant_suite(model_coeff):
         gram = approx.vectors.T @ (ctx.mass[approx.level] @ approx.vectors)
         return np.abs(gram - np.eye(approx.q)).max()
 
-    coarse = fg.coarse_eigensolve(ctx, hier, 4)
+    coarse = fg.coarse_eigensolve(ctx, 4)
     assert drift(coarse) <= 1e-10
     lifted = fg.b_orthonormalize(ctx.mass[1], ctx.transfer[0] @ coarse.vectors)
     stepped = fg.one_correction_step(
-        ctx, hier, EigenApprox(1, coarse.eigenvalues.copy(), lifted), config
+        ctx, EigenApprox(1, coarse.eigenvalues.copy(), lifted), config
     )
     assert drift(stepped) <= 1e-10
     drifts = []
@@ -286,7 +284,7 @@ def test_criterion_09_invariant_suite(model_coeff):
         hier, model_coeff, config, ctx=ctx, on_level=lambda a: drifts.append(drift(a))
     )
     assert max(drifts) <= 1e-10
-    direct = fg.direct_fine_solve(ctx, hier, 4, 1e-9, level=2)
+    direct = fg.direct_fine_solve(ctx, 4, 1e-9, level=2)
     assert drift(direct) <= 1e-10
 
     # Smallest discrete eigenvalue dominates the continuous one on model meshes.

@@ -3,7 +3,7 @@ import pytest
 
 import fmgeig as fg
 from fmgeig.eigsolver import EigenApprox, augmented_ritz
-from fmgeig.errors import DegenerateAugmentationError
+from fmgeig.errors import DegenerateAugmentationError, SolverError
 from fmgeig.linalg import sign_fix
 
 PI2 = np.pi**2
@@ -47,53 +47,71 @@ class TestBOrthonormalize:
         coeffs, *_ = np.linalg.lstsq(original, block, rcond=None)
         assert np.abs(original @ coeffs - block).max() < 1e-10
 
+    def test_ill_conditioned_block(self, small_ctx):
+        # Last column repeats the third up to 1e-6 noise (condition ~2e6).
+        # Here one Cholesky-QR pass alone drifts ~1e-3, Gram-Schmidt ~3e-11.
+        mass = small_ctx.mass[2]
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((mass.shape[0], 4))
+        block[:, 3] = block[:, 2] + 1e-6 * rng.standard_normal(mass.shape[0])
+        out = fg.b_orthonormalize(mass, block)
+        assert b_orthonormality_drift(mass, out) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan])
+    def test_zero_or_nan_column_raises(self, small_ctx, bad):
+        mass = small_ctx.mass[1]
+        block = np.random.default_rng(4).standard_normal((mass.shape[0], 3))
+        block[:, 1] = bad
+        with pytest.raises(SolverError):
+            fg.b_orthonormalize(mass, block)
+
 
 class TestCoarseEigensolve:
-    def test_lam1_bracket(self, small_ctx, small_hierarchy, lam1_exact):
-        approx = fg.coarse_eigensolve(small_ctx, small_hierarchy, 1)
+    def test_lam1_bracket(self, small_ctx, lam1_exact):
+        approx = fg.coarse_eigensolve(small_ctx, 1)
         assert lam1_exact <= approx.eigenvalues[0] <= 1.25 * lam1_exact
 
-    def test_full_spectrum_trace(self, small_ctx, small_hierarchy):
+    def test_full_spectrum_trace(self, small_ctx):
         n = small_ctx.n_dofs(0)
-        approx = fg.coarse_eigensolve(small_ctx, small_hierarchy, n)
+        approx = fg.coarse_eigensolve(small_ctx, n)
         a = small_ctx.stiffness[0].toarray()
         b = small_ctx.mass[0].toarray()
         pencil_trace = np.trace(np.linalg.solve(b, a))
         assert abs(approx.eigenvalues.sum() - pencil_trace) <= 1e-8 * abs(pencil_trace)
 
-    def test_min_max_lower_bounds(self, small_ctx, small_hierarchy):
+    def test_min_max_lower_bounds(self, small_ctx):
         exact, _ = fg.model_exact_data(6)
-        approx = fg.coarse_eigensolve(small_ctx, small_hierarchy, 6)
+        approx = fg.coarse_eigensolve(small_ctx, 6)
         assert np.all(approx.eigenvalues >= exact * (1.0 - 1e-13))
 
-    def test_q_exceeding_dofs(self, small_ctx, small_hierarchy):
+    def test_q_exceeding_dofs(self, small_ctx):
         with pytest.raises(ValueError):
-            fg.coarse_eigensolve(small_ctx, small_hierarchy, small_ctx.n_dofs(0) + 1)
+            fg.coarse_eigensolve(small_ctx, small_ctx.n_dofs(0) + 1)
 
-    def test_b_orthonormal(self, small_ctx, small_hierarchy):
-        approx = fg.coarse_eigensolve(small_ctx, small_hierarchy, 4)
+    def test_b_orthonormal(self, small_ctx):
+        approx = fg.coarse_eigensolve(small_ctx, 4)
         assert b_orthonormality_drift(small_ctx.mass[0], approx.vectors) <= 1e-10
 
 
 class TestOneCorrectionStep:
     @pytest.mark.parametrize("q", [1, 3])
-    def test_exact_pairs_are_fixed_point(self, small_ctx, small_hierarchy, dense_pairs, q):
+    def test_exact_pairs_are_fixed_point(self, small_ctx, dense_pairs, q):
         level = 1
         vals, vecs = dense_pairs[level]
         approx = EigenApprox(level, vals[:q].copy(), vecs[:, :q].copy())
         config = fg.SolverConfig(q=q, m=2, p=1, nu=2)
-        out = fg.one_correction_step(small_ctx, small_hierarchy, approx, config)
+        out = fg.one_correction_step(small_ctx, approx, config)
         assert np.abs(out.eigenvalues - vals[:q]).max() <= 1e-10
         assert np.abs(out.eigenvalues - vals[:q]).max() <= 1e-9 * vals[:q].max()
 
-    def test_energy_error_contracts(self, small_ctx, small_hierarchy, dense_pairs):
+    def test_energy_error_contracts(self, small_ctx, dense_pairs):
         level = 2
         vals, vecs = dense_pairs[level]
         ref_val, ref_vec = vals[0], vecs[:, 0]
         stiffness = small_ctx.stiffness[level]
         mass = small_ctx.mass[level]
 
-        coarse = fg.coarse_eigensolve(small_ctx, small_hierarchy, 1)
+        coarse = fg.coarse_eigensolve(small_ctx, 1)
         lifted = small_ctx.transfer[1] @ (small_ctx.transfer[0] @ coarse.vectors)
         lifted = sign_fix(fg.b_orthonormalize(mass, lifted))
         approx = EigenApprox(level, coarse.eigenvalues.copy(), lifted)
@@ -101,7 +119,7 @@ class TestOneCorrectionStep:
 
         errors = [aligned_energy_error(stiffness, mass, approx.vectors[:, 0], ref_vec)]
         for _ in range(3):
-            approx = fg.one_correction_step(small_ctx, small_hierarchy, approx, config)
+            approx = fg.one_correction_step(small_ctx, approx, config)
             errors.append(
                 aligned_energy_error(stiffness, mass, approx.vectors[:, 0], ref_vec)
             )
@@ -110,33 +128,33 @@ class TestOneCorrectionStep:
             if prev > 1e-11:
                 assert cur < prev
 
-    def test_eigenvalue_upper_bound_chain(self, small_ctx, small_hierarchy, dense_pairs, lam1_exact):
+    def test_eigenvalue_upper_bound_chain(self, small_ctx, dense_pairs, lam1_exact):
         level = 1
-        coarse = fg.coarse_eigensolve(small_ctx, small_hierarchy, 1)
+        coarse = fg.coarse_eigensolve(small_ctx, 1)
         lifted = small_ctx.transfer[0] @ coarse.vectors
         lifted = fg.b_orthonormalize(small_ctx.mass[level], lifted)
         approx = EigenApprox(level, coarse.eigenvalues.copy(), lifted)
         config = fg.SolverConfig(q=1, m=2, p=1, nu=2)
-        out = fg.one_correction_step(small_ctx, small_hierarchy, approx, config)
+        out = fg.one_correction_step(small_ctx, approx, config)
         dense_val = dense_pairs[level][0][0]
         assert out.eigenvalues[0] >= dense_val * (1.0 - 1e-12)
         assert dense_val >= lam1_exact * (1.0 - 1e-13)
 
-    def test_level_at_coarse_index_rejected(self, small_ctx, small_hierarchy):
-        approx = fg.coarse_eigensolve(small_ctx, small_hierarchy, 1)
+    def test_level_at_coarse_index_rejected(self, small_ctx):
+        approx = fg.coarse_eigensolve(small_ctx, 1)
         with pytest.raises(ValueError):
             fg.one_correction_step(
-                small_ctx, small_hierarchy, approx, fg.SolverConfig()
+                small_ctx, approx, fg.SolverConfig()
             )
 
-    def test_b_orthonormality_preserved(self, small_ctx, small_hierarchy):
+    def test_b_orthonormality_preserved(self, small_ctx):
         level = 1
-        coarse = fg.coarse_eigensolve(small_ctx, small_hierarchy, 3)
+        coarse = fg.coarse_eigensolve(small_ctx, 3)
         lifted = small_ctx.transfer[0] @ coarse.vectors
         lifted = fg.b_orthonormalize(small_ctx.mass[level], lifted)
         approx = EigenApprox(level, coarse.eigenvalues.copy(), lifted)
         config = fg.SolverConfig(q=3, m=2, p=1, nu=2)
-        out = fg.one_correction_step(small_ctx, small_hierarchy, approx, config)
+        out = fg.one_correction_step(small_ctx, approx, config)
         assert b_orthonormality_drift(small_ctx.mass[level], out.vectors) <= 1e-10
 
 
@@ -161,6 +179,15 @@ class TestAugmentedRitz:
         assert kept.shape[0] == 5
         assert abs(vals[0] - clean_vals[0]) <= 1e-10 * abs(clean_vals[0])
 
+    def test_detects_rank_deficiency(self):
+        rng = np.random.default_rng(7)
+        basis = rng.standard_normal((8, 5))
+        b_aug = basis @ basis.T  # rank 5 Gram matrix of 8 columns
+        spd = rng.standard_normal((8, 8))
+        a_aug = spd @ spd.T + 8.0 * np.eye(8)
+        _, _, kept = augmented_ritz(a_aug, b_aug, 2, 1e-10)
+        assert kept.shape[0] == 5
+
     def test_rank_below_q_raises(self):
         ones = np.ones((3, 3))
         with pytest.raises(DegenerateAugmentationError):
@@ -173,7 +200,7 @@ class TestFullMultigrid:
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         config = fg.SolverConfig(q=2, m=2, p=2, nu=2)
         via_fmg = fg.full_multigrid(hier, model_coeff, config, ctx=ctx)
-        direct = fg.coarse_eigensolve(ctx, hier, 2)
+        direct = fg.coarse_eigensolve(ctx, 2)
         assert np.array_equal(via_fmg.eigenvalues, direct.eigenvalues)
         assert np.array_equal(via_fmg.vectors, direct.vectors)
 
@@ -255,7 +282,7 @@ class TestLShapedDomain:
         assert all(lam >= L_SHAPE_LAM1 for lam in lams)
         assert all(b < a for a, b in zip(lams, lams[1:]))
         assert lams[-1] <= 9.75  # regression bound from the first run
-        direct = fg.direct_fine_solve(ctx, hier, 1, 1e-9)
+        direct = fg.direct_fine_solve(ctx, 1, 1e-9)
         fmg_err = lams[-1] - L_SHAPE_LAM1
         direct_err = direct.eigenvalues[0] - L_SHAPE_LAM1
         assert fmg_err <= 1.5 * direct_err
@@ -265,15 +292,15 @@ class TestDirectFineSolve:
     def test_single_level_matches_dense(self, model_coeff):
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
-        out = fg.direct_fine_solve(ctx, hier, 2, 1e-11)
+        out = fg.direct_fine_solve(ctx, 2, 1e-11)
         vals, _ = fg.generalized_eig_dense(
             ctx.stiffness[0].toarray(), ctx.mass[0].toarray(), 2
         )
         assert np.abs(out.eigenvalues - vals).max() <= 1e-9 * vals.max()
 
-    def test_lam1_above_exact_every_level(self, small_ctx, small_hierarchy, lam1_exact):
+    def test_lam1_above_exact_every_level(self, small_ctx, lam1_exact):
         for level in range(small_ctx.n_levels):
-            out = fg.direct_fine_solve(small_ctx, small_hierarchy, 1, 1e-9, level=level)
+            out = fg.direct_fine_solve(small_ctx, 1, 1e-9, level=level)
             assert out.eigenvalues[0] >= lam1_exact * (1.0 - 1e-12)
 
     def test_six_eigenvalues_converge_to_exact_set(self, model_coeff):
@@ -282,14 +309,14 @@ class TestDirectFineSolve:
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         gaps = []
         for level in range(3):
-            out = fg.direct_fine_solve(ctx, hier, 6, 1e-9, level=level)
+            out = fg.direct_fine_solve(ctx, 6, 1e-9, level=level)
             gaps.append(np.abs(np.sort(out.eigenvalues) - exact).max())
         assert gaps[1] < gaps[0]
         assert gaps[2] < gaps[1]
 
-    def test_residual_contract(self, small_ctx, small_hierarchy):
+    def test_residual_contract(self, small_ctx):
         tol = 1e-10
-        out = fg.direct_fine_solve(small_ctx, small_hierarchy, 3, tol)
+        out = fg.direct_fine_solve(small_ctx, 3, tol)
         a = small_ctx.stiffness[out.level]
         b = small_ctx.mass[out.level]
         scale = abs(a).max()
@@ -298,19 +325,19 @@ class TestDirectFineSolve:
             res = np.linalg.norm(a @ u - out.eigenvalues[j] * (b @ u))
             assert res <= tol * scale
 
-    def test_b_orthonormal(self, small_ctx, small_hierarchy):
-        out = fg.direct_fine_solve(small_ctx, small_hierarchy, 4, 1e-9)
+    def test_b_orthonormal(self, small_ctx):
+        out = fg.direct_fine_solve(small_ctx, 4, 1e-9)
         assert b_orthonormality_drift(small_ctx.mass[out.level], out.vectors) <= 1e-10
 
-    def test_seed_free_still_converges(self, small_ctx, small_hierarchy):
-        out = fg.direct_fine_solve(small_ctx, small_hierarchy, 1, 1e-9, seed=None)
-        ref = fg.direct_fine_solve(small_ctx, small_hierarchy, 1, 1e-9, seed=0)
+    def test_seed_free_still_converges(self, small_ctx):
+        out = fg.direct_fine_solve(small_ctx, 1, 1e-9, seed=None)
+        ref = fg.direct_fine_solve(small_ctx, 1, 1e-9, seed=0)
         assert abs(out.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-7 * ref.eigenvalues[0]
 
-    def test_invalid_tol(self, small_ctx, small_hierarchy):
+    def test_invalid_tol(self, small_ctx):
         with pytest.raises(ValueError):
-            fg.direct_fine_solve(small_ctx, small_hierarchy, 1, 0.0)
+            fg.direct_fine_solve(small_ctx, 1, 0.0)
 
-    def test_sweep_budget_exhaustion(self, small_ctx, small_hierarchy):
+    def test_sweep_budget_exhaustion(self, small_ctx):
         with pytest.raises(fg.ConvergenceError):
-            fg.direct_fine_solve(small_ctx, small_hierarchy, 1, 1e-14, max_sweeps=1)
+            fg.direct_fine_solve(small_ctx, 1, 1e-14, max_sweeps=1)

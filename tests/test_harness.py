@@ -185,6 +185,37 @@ class TestCLI:
         ])
         assert code == 0
 
+    def test_model_problem_rejects_non_unit_square_mesh(self, tmp_path):
+        # [0,2] x [0,1] with 4 x 2 cells: the unit-square eigenvalues would
+        # be reported as its reference.
+        lines = ["15 16"]
+        lines += ["%g %g" % (0.5 * i, 0.5 * j) for j in range(3) for i in range(5)]
+        for v in [5 * j + i for j in range(2) for i in range(4)]:
+            lines += ["%d %d %d" % (v, v + 1, v + 6), "%d %d %d" % (v, v + 6, v + 5)]
+        mesh_path = tmp_path / "rectangle.mesh"
+        mesh_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "cli.csv"
+        code = main([
+            "run", "--problem", "model", "--mesh", str(mesh_path),
+            "--levels", "3", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    def test_oversized_hierarchy_rejected_before_refinement(self, tmp_path, monkeypatch):
+        # square:8 with 9 levels projects (8 * 2**8 + 1)**2 = 4.2M vertices.
+        def refine(*args, **kwargs):
+            raise AssertionError("refinement ran before the sizing check")
+
+        monkeypatch.setattr("fmgeig.mesh.refine_regular", refine)
+        out = tmp_path / "cli.csv"
+        code = main([
+            "run", "--problem", "model", "--mesh", "square:8", "--levels", "9",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_missing_mesh_file_is_argument_error(self, tmp_path):
         code = main([
             "run", "--problem", "model", "--mesh", str(tmp_path / "nope.mesh"),

@@ -167,7 +167,7 @@ class TestBuildHierarchy:
 
     def test_sizing_cap_before_allocation(self):
         with pytest.raises(ValueError, match="cap"):
-            fg.build_hierarchy(fg.unit_square_mesh(2), 12, max_vertices=100_000)
+            fg.build_hierarchy(fg.unit_square_mesh(2), 12)
 
     def test_composed_prolongation_row_sums(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 4)
