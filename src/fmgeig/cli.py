@@ -73,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--direct-tol", type=float, default=1e-9)
     run.add_argument("--out", required=True, help="output CSV path")
-    run.add_argument(
-        "--seed-free",
-        action="store_true",
-        help="seed randomized starting blocks from entropy instead of a fixed seed",
-    )
     return parser
 
 
@@ -102,7 +97,6 @@ def main(argv=None) -> int:
             args.out,
             compare_direct=args.compare_direct or spec.exact_eigenvalues is None,
             direct_tol=args.direct_tol,
-            seed=None if args.seed_free else 0,
         )
     except ValueError as exc:
         print("fmg-eig: error: %s" % exc, file=sys.stderr)

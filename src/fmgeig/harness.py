@@ -255,7 +255,6 @@ def run_study(
     out_path,
     compare_direct: bool = False,
     direct_tol: float = 1e-9,
-    seed: int | None = 0,
 ) -> list[StudyRow]:
     """Run the convergence study and write the CSV error table.
 
@@ -284,7 +283,7 @@ def run_study(
         for level in range(config.start_level, n_levels):
             ctx.reset_work()
             t_level = time.perf_counter()
-            approx = direct_fine_solve(ctx, config.q, direct_tol, level=level, seed=seed)
+            approx = direct_fine_solve(ctx, config.q, direct_tol, level=level)
             direct_results.append(
                 (approx, ctx.work_units, 1000.0 * (time.perf_counter() - t_level))
             )

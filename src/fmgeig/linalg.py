@@ -3,9 +3,9 @@
 Sparse operators are scipy CSR arrays (sorted indices, numerically
 symmetric); vectors and dense matrices are plain ndarrays.  The module
 provides the conjugate gradient solver that doubles as the multigrid
-smoother, its flexibly preconditioned variant, dense Cholesky solves, and
-the generalized symmetric eigensolver of the coarse and augmented Ritz
-problems, which delegates to LAPACK through :func:`scipy.linalg.eigh`.
+smoother, dense Cholesky solves, and the generalized symmetric eigensolver
+of the coarse and augmented Ritz problems, which delegates to LAPACK
+through :func:`scipy.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import NotPositiveDefiniteError
 
 __all__ = [
     "cg_solve",
-    "pcg_solve",
     "cholesky_dense",
     "cho_solve",
     "generalized_eig_dense",
@@ -84,53 +83,6 @@ def cg_solve(
         if callback is not None:
             callback(x)
     return x, iters, float(np.sqrt(rr))
-
-
-def pcg_solve(
-    matrix,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    precond=None,
-    max_iters: int = 200,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, int, float]:
-    """Flexible preconditioned conjugate gradients.
-
-    ``precond(r)`` applies an approximate inverse; the Polak-Ribiere update
-    keeps the recursion stable when the preconditioner is nonlinear (e.g. a
-    multigrid cycle with conjugate gradient smoothing).  Convergence is
-    relative to the initial residual, as in :func:`cg_solve`.
-    """
-    b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if precond is None:
-        precond = lambda r: r
-
-    r = b - matrix @ x
-    ref = float(np.linalg.norm(r))
-    if ref == 0.0:
-        return x, 0, 0.0
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    iters = 0
-    while iters < max_iters and np.linalg.norm(r) > tol * ref:
-        mp = matrix @ p
-        pmp = float(p @ mp)
-        if pmp <= 0.0:
-            raise NotPositiveDefiniteError(
-                "preconditioned CG breakdown: p'Mp = %g" % pmp
-            )
-        alpha = rz / pmp
-        x += alpha * p
-        r -= alpha * mp
-        z_next = precond(r)
-        rz_next = float(r @ z_next)
-        beta = float(r @ (z_next - z)) / rz if rz != 0.0 else 0.0
-        p = z_next + max(beta, 0.0) * p
-        z, rz = z_next, rz_next
-        iters += 1
-    return x, iters, float(np.linalg.norm(r))
 
 
 def cholesky_dense(matrix: np.ndarray) -> np.ndarray:

@@ -103,14 +103,27 @@ class MeshHierarchy:
         return op
 
 
-def _sorted_edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique undirected edges (sorted vertex pairs) and per-edge triangle counts."""
+def _edge_keys(a: np.ndarray, b: np.ndarray, nv: int) -> np.ndarray:
+    """Packed int64 key ``min * nv + max`` of each undirected edge ``(a, b)``."""
+    return np.minimum(a, b) * np.int64(nv) + np.maximum(a, b)
+
+
+def _sorted_edges(
+    triangles: np.ndarray, nv: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unique undirected edges, per-edge triangle counts and their sorted keys.
+
+    Edges are sorted vertex pairs in lexicographic order, which is the
+    ascending order of their :func:`_edge_keys`.
+    """
     raw = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
+        [
+            _edge_keys(triangles[:, a], triangles[:, b], nv)
+            for a, b in ((0, 1), (1, 2), (2, 0))
+        ]
     )
-    raw.sort(axis=1)
-    edges, counts = np.unique(raw, axis=0, return_counts=True)
-    return edges, counts
+    keys, counts = np.unique(raw, return_counts=True)
+    return np.column_stack(np.divmod(keys, nv)), counts, keys
 
 
 def _signed_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -133,7 +146,7 @@ def _build_mesh(vertices: np.ndarray, triangles: np.ndarray, level: int) -> Mesh
         bad = int(np.flatnonzero(_signed_doubled_areas(vertices, triangles) <= 0.0)[0])
         raise ValueError("triangle %d has non-positive area (orientation?)" % bad)
 
-    edges, counts = _sorted_edges(triangles)
+    edges, counts, _ = _sorted_edges(triangles, nv)
     if counts.max(initial=0) > 2:
         raise ValueError("non-conforming mesh: an edge is shared by >2 triangles")
 
@@ -260,7 +273,7 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, Prolongation]:
     """
     tri = mesh.triangles
     nv = mesh.n_vertices
-    edges, _ = _sorted_edges(tri)
+    edges, _, keys = _sorted_edges(tri, nv)
     ne = edges.shape[0]
 
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
@@ -268,10 +281,7 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, Prolongation]:
 
     # Locate each triangle edge in the unique sorted-edge table.
     def edge_ids(a, b):
-        pairs = np.sort(np.column_stack([tri[:, a], tri[:, b]]), axis=1)
-        keys = edges[:, 0] * np.int64(nv) + edges[:, 1]
-        wanted = pairs[:, 0] * np.int64(nv) + pairs[:, 1]
-        return nv + np.searchsorted(keys, wanted)
+        return nv + np.searchsorted(keys, _edge_keys(tri[:, a], tri[:, b], nv))
 
     m01 = edge_ids(0, 1)
     m12 = edge_ids(1, 2)
@@ -313,7 +323,7 @@ def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
         raise ValueError("n_levels must be >= 1, got %r" % (n_levels,))
 
     nv, nt = coarse.n_vertices, coarse.n_triangles
-    ne = _sorted_edges(coarse.triangles)[0].shape[0]
+    ne = _sorted_edges(coarse.triangles, nv)[0].shape[0]
     for _ in range(n_levels - 1):
         nv, ne, nt = _projected_refined_counts(nv, ne, nt)
         if nv > MAX_VERTICES:
@@ -337,6 +347,6 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 
 def max_edge_length(mesh: Mesh) -> float:
     """Mesh size: the longest edge over all triangles."""
-    edges, _ = _sorted_edges(mesh.triangles)
+    edges, _, _ = _sorted_edges(mesh.triangles, mesh.n_vertices)
     d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
     return float(np.sqrt((d * d).sum(axis=1)).max())

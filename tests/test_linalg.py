@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 import fmgeig as fg
 from fmgeig.errors import NotPositiveDefiniteError
-from fmgeig.linalg import cho_solve, pcg_solve
+from fmgeig.linalg import cho_solve
 
 
 def random_spd(n, rng):
@@ -61,19 +61,6 @@ class TestCG:
         b = np.ones(matrix.shape[0])
         _, iters, _ = fg.cg_solve(matrix, b, tol=0.0, max_iters=3)
         assert iters == 3
-
-
-class TestPCG:
-    def test_jacobi_preconditioner(self, small_ctx):
-        matrix = small_ctx.stiffness[1]
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal(matrix.shape[0])
-        inv_diag = 1.0 / matrix.diagonal()
-        x, iters, _ = pcg_solve(
-            matrix, b, precond=lambda r: inv_diag * r, tol=1e-12, max_iters=1000
-        )
-        expected = cho_solve(fg.cholesky_dense(matrix.toarray()), b)
-        assert np.abs(x - expected).max() < 1e-9
 
 
 class TestCholesky:
