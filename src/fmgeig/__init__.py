@@ -34,7 +34,6 @@ from .fem import (
     interpolate,
     laplace_coefficients,
     norm_a,
-    norm_b,
 )
 from .harness import (
     ProblemSpec,
@@ -52,7 +51,6 @@ from .mesh import (
     MeshHierarchy,
     build_hierarchy,
     load_mesh,
-    max_edge_length,
     refine_regular,
     save_mesh,
     triangle_areas,

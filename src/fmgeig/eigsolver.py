@@ -21,6 +21,7 @@ LOBPCG on the fine-level pencil with one V-cycle as preconditioner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +51,9 @@ DIRECT_MAX_ITERS = 100
 #: below, soft locking can stall a call above the target; a second call from
 #: the returned block restarts the search directions and gets there.
 DIRECT_ATTEMPTS = 2
+#: Relative pivot threshold below which :func:`one_correction_step` drops
+#: augmented-basis columns as numerically dependent.
+GRAM_DROP_TOL = 1e-12
 
 
 @dataclass
@@ -76,38 +80,23 @@ class SolverConfig:
     q: number of eigenpairs tracked simultaneously.
     m: V-cycles per auxiliary boundary-value solve.
     p: correction steps per level.
-    nu: pre- and post-smoothing steps inside each V-cycle.
-    coarse_index: hierarchy level whose space augments the small eigensolve.
-    first_level: level of the initial dense eigensolve (defaults to
-        ``coarse_index``; set higher to start finer than the augmentation
-        space).
-    gram_drop_tol: relative pivot threshold below which augmented-basis
-        columns are dropped as numerically dependent.
+    nu: CG smoothing steps before and after the coarse correction of each
+        V-cycle.
+
+    The scheme starts with a dense eigensolve on the coarsest level, whose
+    space also augments every correction step.
     """
 
     q: int = 1
     m: int = 2
     p: int = 2
     nu: int = 2
-    coarse_index: int = 0
-    first_level: int | None = None
-    gram_drop_tol: float = 1e-12
-    smoother: str = "cg"
+    smoother: ClassVar[str] = "cg"  # read by perfbench/workloads.py only
 
     def __post_init__(self):
         for name in ("q", "m", "p", "nu"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1, got %r" % (name, getattr(self, name)))
-        if self.coarse_index < 0:
-            raise ValueError("coarse_index must be >= 0")
-        if self.first_level is not None and self.first_level < self.coarse_index:
-            raise ValueError("first_level must not precede coarse_index")
-        if self.gram_drop_tol <= 0.0:
-            raise ValueError("gram_drop_tol must be positive")
-
-    @property
-    def start_level(self) -> int:
-        return self.coarse_index if self.first_level is None else self.first_level
 
 
 def b_orthonormalize(mass, vectors: np.ndarray) -> np.ndarray:
@@ -182,11 +171,8 @@ def one_correction_step(
     are a fixed point.
     """
     k = approx.level
-    if k <= config.coarse_index:
-        raise ValueError(
-            "correction requires a level above coarse_index %d, got %d"
-            % (config.coarse_index, k)
-        )
+    if k < 1:
+        raise ValueError("correction requires a level above the coarsest, got %d" % k)
     a_k = ctx.stiffness[k]
     b_k = ctx.mass[k]
     q = approx.q
@@ -205,7 +191,7 @@ def one_correction_step(
 
     # Basis of the augmented space: composed coarse prolongation plus the
     # smoothed vectors.  The projected pencil is dense and small.
-    prolong = _interior_prolongation(ctx, config.coarse_index, k)
+    prolong = ctx.coarse_prolongation[k]
     ap = a_k @ prolong
     bp = b_k @ prolong
     n_h = prolong.shape[1]
@@ -223,7 +209,7 @@ def one_correction_step(
     a_aug = 0.5 * (a_aug + a_aug.T)
     b_aug = 0.5 * (b_aug + b_aug.T)
 
-    vals, ritz, kept = augmented_ritz(a_aug, b_aug, q, config.gram_drop_tol)
+    vals, ritz, kept = augmented_ritz(a_aug, b_aug, q, GRAM_DROP_TOL)
     kept_coarse = kept[kept < n_h]
     kept_smoothed = kept[kept >= n_h] - n_h
     split = kept_coarse.shape[0]
@@ -232,13 +218,6 @@ def one_correction_step(
 
     vectors = b_orthonormalize(b_k, vectors)
     return EigenApprox(k, vals, sign_fix(vectors))
-
-
-def _interior_prolongation(ctx: MGContext, start: int, stop: int):
-    op = ctx.transfer[start]
-    for k in range(start + 1, stop):
-        op = ctx.transfer[k] @ op
-    return op
 
 
 def full_multigrid(
@@ -250,25 +229,21 @@ def full_multigrid(
 ) -> EigenApprox:
     """Run the full multilevel scheme and return the finest-level eigenpairs.
 
-    Starts from a dense eigensolve on the coarse space, then for every finer
-    level prolongates the current block, re-orthonormalizes it in the mass
-    inner product and applies ``config.p`` correction steps.  ``on_level``
-    (if given) is called with the accepted :class:`EigenApprox` of each
-    level, which is exactly what a run with fewer levels would return.
-    A caller-provided ``ctx`` is used as is (its smoother and smoothing
-    count override the config's).
+    Starts from a dense eigensolve on the coarsest level, then for every
+    finer level prolongates the current block, re-orthonormalizes it in the
+    mass inner product and applies ``config.p`` correction steps.
+    ``on_level`` (if given) is called with the accepted :class:`EigenApprox`
+    of each level, which is exactly what a run with fewer levels would
+    return.  A caller-provided ``ctx`` is used as is (its smoothing count
+    overrides ``config.nu``).
     """
-    n = hierarchy.n_levels
-    start = config.start_level
-    if start >= n:
-        raise ValueError("start level %d outside hierarchy of %d levels" % (start, n))
     if ctx is None:
-        ctx = build_mg_context(hierarchy, coeff, config.nu, config.smoother)
+        ctx = build_mg_context(hierarchy, coeff, config.nu)
 
-    approx = coarse_eigensolve(ctx, config.q, level=start)
+    approx = coarse_eigensolve(ctx, config.q)
     if on_level is not None:
         on_level(approx)
-    for k in range(start + 1, n):
+    for k in range(1, hierarchy.n_levels):
         vectors = ctx.transfer[k - 1] @ approx.vectors
         vectors = sign_fix(b_orthonormalize(ctx.mass[k], vectors))
         approx = EigenApprox(k, approx.eigenvalues.copy(), vectors)
@@ -293,8 +268,8 @@ def direct_fine_solve(
     A level with fewer than ``5 (q + 2)`` dofs, too small for the block
     iteration, is solved densely.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
     if level is None:
         level = ctx.n_levels - 1
     a = ctx.stiffness[level]

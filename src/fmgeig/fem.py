@@ -37,7 +37,6 @@ __all__ = [
     "assemble_mass",
     "interpolate",
     "norm_a",
-    "norm_b",
 ]
 
 # Hat function values at the edge midpoints (m01, m12, m20) of a triangle.
@@ -78,9 +77,8 @@ def laplace_coefficients() -> CoefficientField:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Bijection between interior (non-boundary) vertices and dof indices."""
+    """Interior (non-boundary) vertices in dof order."""
 
-    vertex_to_dof: np.ndarray  # -1 for boundary vertices
     dof_to_vertex: np.ndarray
 
     @property
@@ -90,10 +88,7 @@ class DofMap:
 
 def interior_dofmap(mesh: Mesh) -> DofMap:
     """Number the interior vertices of ``mesh`` contiguously."""
-    dof_to_vertex = np.flatnonzero(~mesh.boundary_vertex)
-    vertex_to_dof = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    vertex_to_dof[dof_to_vertex] = np.arange(dof_to_vertex.shape[0])
-    return DofMap(vertex_to_dof, dof_to_vertex)
+    return DofMap(np.flatnonzero(~mesh.boundary_vertex))
 
 
 def _geometry(mesh: Mesh):
@@ -235,7 +230,12 @@ def interpolate(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:
     return np.broadcast_to(vals, (dofmap.n_dofs,)).copy()
 
 
-def _induced_norm(matrix, v: np.ndarray, form: str) -> float:
+def norm_a(matrix, v: np.ndarray) -> float:
+    """Induced norm ``sqrt(v' M v)`` (tiny negative round-off clamps to 0).
+
+    The energy norm for a stiffness matrix, the weighted L2 norm for a mass
+    matrix.
+    """
     v = np.asarray(v, dtype=float)
     if matrix.shape[1] != v.shape[0]:
         raise ValueError(
@@ -244,16 +244,6 @@ def _induced_norm(matrix, v: np.ndarray, form: str) -> float:
     q = float(v @ (matrix @ v))
     if q < -1e-14:
         raise NotPositiveDefiniteError(
-            "%s-form value %g is negative beyond round-off" % (form, q)
+            "form value %g is negative beyond round-off" % q
         )
     return float(np.sqrt(max(q, 0.0)))
-
-
-def norm_a(stiffness, v: np.ndarray) -> float:
-    """Energy norm ``sqrt(v' A v)`` (tiny negative round-off clamps to 0)."""
-    return _induced_norm(stiffness, v, "a")
-
-
-def norm_b(mass, v: np.ndarray) -> float:
-    """Weighted L2 norm ``sqrt(v' B v)`` (tiny negative round-off clamps to 0)."""
-    return _induced_norm(mass, v, "b")

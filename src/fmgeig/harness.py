@@ -263,10 +263,14 @@ def run_study(
     With ``compare_direct`` the baseline solver runs per level and, when the
     problem has no exact eigenvalues, its two finest levels provide the
     Richardson-extrapolated reference for both methods.  Output is
-    deterministic apart from the wall-clock column.
+    deterministic apart from the wall-clock column.  A ``direct_tol`` that
+    is not finite and positive is rejected before any work when the
+    baseline runs.
     """
+    if compare_direct and not 0.0 < direct_tol < np.inf:
+        raise ValueError("direct_tol must be finite and positive, got %r" % (direct_tol,))
     hierarchy = build_hierarchy(coarse_mesh, n_levels)
-    ctx = build_mg_context(hierarchy, spec.coefficients, config.nu, config.smoother)
+    ctx = build_mg_context(hierarchy, spec.coefficients, config.nu)
 
     snapshots = []
     t0 = time.perf_counter()
@@ -280,7 +284,7 @@ def run_study(
 
     direct_results = []
     if compare_direct:
-        for level in range(config.start_level, n_levels):
+        for level in range(n_levels):
             ctx.reset_work()
             t_level = time.perf_counter()
             approx = direct_fine_solve(ctx, config.q, direct_tol, level=level)

@@ -30,7 +30,6 @@ def cg_solve(
     x0: np.ndarray | None = None,
     max_iters: int | None = None,
     tol: float = 1e-10,
-    callback=None,
 ) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients for symmetric positive definite systems.
 
@@ -80,8 +79,6 @@ def cg_solve(
         p = r + (rr_next / rr) * p
         rr = rr_next
         iters += 1
-        if callback is not None:
-            callback(x)
     return x, iters, float(np.sqrt(rr))
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "refine_regular",
     "build_hierarchy",
     "triangle_areas",
-    "max_edge_length",
 ]
 
 #: Sparse coarse-to-fine interpolation matrix (one row per fine vertex).
@@ -80,7 +79,7 @@ class MeshHierarchy:
     """Nested meshes ordered coarse to fine with inter-level prolongations.
 
     ``prolongations[k]`` interpolates vertex coefficients of ``meshes[k]``
-    onto ``meshes[k + 1]``; compositions embed any level into any finer one.
+    onto ``meshes[k + 1]``; their products embed any level into any finer one.
     Every refinement is the midpoint split, so the mesh size halves from
     one level to the next.
     """
@@ -91,16 +90,6 @@ class MeshHierarchy:
     @property
     def n_levels(self) -> int:
         return len(self.meshes)
-
-    def compose_prolongation(self, start: int, stop: int) -> Prolongation:
-        """Return the full-vertex interpolation from level ``start`` to ``stop``."""
-        if not 0 <= start <= stop < self.n_levels:
-            raise ValueError("level range (%d, %d) out of bounds" % (start, stop))
-        op = sp.identity(self.meshes[start].n_vertices, format="csr")
-        op = sp.csr_array(op)
-        for k in range(start, stop):
-            op = self.prolongations[k] @ op
-        return op
 
 
 def _edge_keys(a: np.ndarray, b: np.ndarray, nv: int) -> np.ndarray:
@@ -343,10 +332,3 @@ def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Positive area of every triangle."""
     return 0.5 * _signed_doubled_areas(mesh.vertices, mesh.triangles)
-
-
-def max_edge_length(mesh: Mesh) -> float:
-    """Mesh size: the longest edge over all triangles."""
-    edges, _, _ = _sorted_edges(mesh.triangles, mesh.n_vertices)
-    d = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
-    return float(np.sqrt((d * d).sum(axis=1)).max())

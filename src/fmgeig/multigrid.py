@@ -4,12 +4,14 @@ The context assembles one stiffness and one mass matrix per hierarchy level,
 restricts the mesh prolongations to interior dofs (restriction is exactly
 the transpose, so coarse operators are the Galerkin products of fine ones on
 nested spaces with matching quadrature) and factors the coarsest stiffness
-densely.  A V-cycle smooths, restricts the residual, recurses with an exact
-solve at the bottom, corrects and smooths again.
+densely.  It also composes, once, the interior prolongation from the
+coarsest level to every level, which spans the coarse part of the augmented
+space of the eigenvalue correction step.  A V-cycle smooths, restricts the
+residual, recurses with an exact solve at the bottom, corrects and smooths
+again.
 
-The default smoother is a fixed number of conjugate gradient steps, which
-makes the cycle slightly nonlinear in the right-hand side; damped Jacobi is
-available where a linear cycle is needed.
+The smoother is a fixed number of conjugate gradient steps, which makes
+the cycle slightly nonlinear in the right-hand side.
 A running counter accumulates smoothing work as sweeps times level dofs,
 the machine-independent cost measure reported by the benchmark harness.
 """
@@ -19,14 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fem import CoefficientField, assemble_mass, assemble_stiffness, interior_dofmap
 from .linalg import cg_solve, cho_solve, cholesky_dense
 from .mesh import MeshHierarchy
 
 __all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
-
-_SMOOTHERS = ("cg", "jacobi")
 
 
 @dataclass
@@ -40,9 +41,9 @@ class MGContext:
     stiffness: list
     mass: list
     transfer: list          # interior-restricted prolongation, level k -> k+1
+    coarse_prolongation: list  # composed interior prolongation, level 0 -> k
     dofmaps: list
     nu: int
-    smoother: str
     coarse_factor: np.ndarray
     work_units: float = 0.0
 
@@ -61,18 +62,20 @@ def build_mg_context(
     hierarchy: MeshHierarchy,
     coeff: CoefficientField,
     nu: int = 2,
-    smoother: str = "cg",
+    smoother: str = "cg",  # only "cg"; perfbench/workloads.py still passes it
 ) -> MGContext:
     """Assemble level matrices and transfer operators for ``hierarchy``.
 
     Interior-restricted transfers are obtained by deleting boundary rows and
     columns of the mesh prolongations; interior basis functions vanish on
-    the boundary, so nothing is lost.
+    the boundary, so nothing is lost.  ``coarse_prolongation[k]`` is the
+    product ``T_{k-1} ... T_0`` of the transfers ``T_j = transfer[j]``,
+    formed coarse to fine (the identity at level 0).
     """
     if nu < 1:
         raise ValueError("nu must be >= 1, got %r" % (nu,))
-    if smoother not in _SMOOTHERS:
-        raise ValueError("unknown smoother %r, expected one of %r" % (smoother, _SMOOTHERS))
+    if smoother != "cg":
+        raise ValueError("unknown smoother %r, only 'cg' is available" % (smoother,))
 
     dofmaps = [interior_dofmap(mesh) for mesh in hierarchy.meshes]
     stiffness = [
@@ -89,21 +92,21 @@ def build_mg_context(
         coarse = dofmaps[k].dof_to_vertex
         transfer.append(full[fine][:, coarse])
 
+    # P_1 = T_0 as is and P_k = T_{k-1} @ P_{k-1}; level 0 is the coarse space.
+    coarse_prolongation = [sp.eye_array(dofmaps[0].n_dofs, format="csr")]
+    for k, op in enumerate(transfer):
+        coarse_prolongation.append(op @ coarse_prolongation[k] if k else op)
+
     coarse_factor = cholesky_dense(stiffness[0].toarray())
-    return MGContext(stiffness, mass, transfer, dofmaps, nu, smoother, coarse_factor)
+    return MGContext(
+        stiffness, mass, transfer, coarse_prolongation, dofmaps, nu, coarse_factor
+    )
 
 
 def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndarray:
     matrix = ctx.stiffness[level]
-    n = matrix.shape[0]
-    if ctx.smoother == "cg":
-        x, iters, _ = cg_solve(matrix, f, x, max_iters=ctx.nu, tol=0.0)
-        ctx.work_units += iters * n
-        return x
-    inv_diag = 1.0 / matrix.diagonal()
-    for _ in range(ctx.nu):
-        x = x + (2.0 / 3.0) * inv_diag * (f - matrix @ x)
-    ctx.work_units += ctx.nu * n
+    x, iters, _ = cg_solve(matrix, f, x, max_iters=ctx.nu, tol=0.0)
+    ctx.work_units += iters * matrix.shape[0]
     return x
 
 

@@ -261,7 +261,9 @@ def test_criterion_09_invariant_suite(model_coeff):
     for op in hier.prolongations:
         sums = np.asarray(op.sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() <= 1e-14
-    composed = hier.compose_prolongation(0, 3)
+    composed = hier.prolongations[0]
+    for op in hier.prolongations[1:]:
+        composed = op @ composed
     assert np.abs(np.asarray(composed.sum(axis=1)).ravel() - 1.0).max() <= 1e-14
 
     # Mass-orthonormality drift stays below 1e-10 after every operation.

@@ -27,10 +27,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             fg.SolverConfig(**{field: 0})
 
-    def test_first_level_before_coarse_index(self):
-        with pytest.raises(ValueError):
-            fg.SolverConfig(coarse_index=1, first_level=0)
-
 
 class TestBOrthonormalize:
     def test_random_block(self, small_ctx):
@@ -235,14 +231,6 @@ class TestFullMultigrid:
         out = fg.full_multigrid(small_hierarchy, model_coeff, config, ctx=small_ctx)
         assert b_orthonormality_drift(small_ctx.mass[out.level], out.vectors) <= 1e-10
 
-    def test_first_level_override(self, model_coeff):
-        # Initial solve on level 1 while level 0 provides the augmentation space.
-        hier = fg.build_hierarchy(fg.unit_square_mesh(2), 3)
-        config = fg.SolverConfig(q=1, m=2, p=2, nu=2, coarse_index=0, first_level=1)
-        out = fg.full_multigrid(hier, model_coeff, config)
-        assert out.level == 2
-        assert out.eigenvalues[0] > 0.0
-
 
 L_SHAPE_FILE = """8 6
 0 0
@@ -333,6 +321,11 @@ class TestDirectFineSolve:
     def test_invalid_tol(self, small_ctx):
         with pytest.raises(ValueError):
             fg.direct_fine_solve(small_ctx, 1, 0.0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf])
+    def test_non_finite_tol_rejected(self, small_ctx, tol):
+        with pytest.raises(ValueError):
+            fg.direct_fine_solve(small_ctx, 1, tol)
 
     # Here a single LOBPCG call stalls at 1.9e-11; the restart reaches 1e-12.
     @pytest.mark.filterwarnings("ignore:Exited:UserWarning")

@@ -216,6 +216,20 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_direct_tol_rejected_before_any_work(self, tmp_path, monkeypatch, tol):
+        def build(*args, **kwargs):
+            raise AssertionError("hierarchy built before the tolerance check")
+
+        monkeypatch.setattr("fmgeig.harness.build_hierarchy", build)
+        out = tmp_path / "cli.csv"
+        code = main([
+            "run", "--problem", "general", "--mesh", "square:4", "--levels", "2",
+            "--direct-tol=" + tol, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_missing_mesh_file_is_argument_error(self, tmp_path):
         code = main([
             "run", "--problem", "model", "--mesh", str(tmp_path / "nope.mesh"),

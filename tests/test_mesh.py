@@ -156,10 +156,12 @@ class TestBuildHierarchy:
         assert [m.n_vertices for m in hier.meshes] == [9, 25, 81]
 
     def test_mesh_size_halves(self):
+        # The four children of triangle t (rows t, t + nt, t + 2nt, t + 3nt)
+        # are similar to it at ratio 1/2, so each has a quarter of its area.
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 3)
-        sizes = [fg.max_edge_length(m) for m in hier.meshes]
-        for coarse, fine in zip(sizes, sizes[1:]):
-            assert abs(coarse / fine - 2.0) < 1e-12
+        for coarse, fine in zip(hier.meshes, hier.meshes[1:]):
+            parent = np.tile(fg.triangle_areas(coarse), 4)
+            assert np.abs(fg.triangle_areas(fine) / parent - 0.25).max() < 1e-12
 
     def test_rejects_zero_levels(self):
         with pytest.raises(ValueError):
@@ -171,7 +173,9 @@ class TestBuildHierarchy:
 
     def test_composed_prolongation_row_sums(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 4)
-        composed = hier.compose_prolongation(0, 3)
+        composed = hier.prolongations[0]
+        for op in hier.prolongations[1:]:
+            composed = op @ composed
         assert composed.shape == (hier.meshes[3].n_vertices, 9)
         sums = np.asarray(composed.sum(axis=1)).ravel()
         assert np.abs(sums - 1.0).max() <= 1e-14
