@@ -28,8 +28,7 @@ from .errors import (
 from .fem import (
     CoefficientField,
     DofMap,
-    assemble_mass,
-    assemble_stiffness,
+    assemble_pencil,
     interior_dofmap,
     interpolate,
     laplace_coefficients,

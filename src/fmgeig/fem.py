@@ -12,9 +12,12 @@ matrix), which keeps them symmetric positive definite.
 Quadrature is the 3-point edge-midpoint rule, exact for quadratics, hence
 exact for every constant-coefficient term with P1 bases and accurate enough
 to preserve second-order eigenvalue convergence for smooth coefficients.
-Element matrices are mirrored from one accumulator and summed in a fixed
-order, so assembled matrices are exactly symmetric and runs are bit
-reproducible.
+P1 gradients are constant per triangle, so the stiffness term sums the
+tensor over the three points and contracts once (folded quadrature).  Both
+forms share one sort plan per mesh with elimination folded in (boundary
+rows and columns are dropped before the sort); symmetrized element blocks
+are summed through it in a fixed order, so the matrices are exactly
+symmetric and runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ __all__ = [
     "DofMap",
     "laplace_coefficients",
     "interior_dofmap",
-    "assemble_stiffness",
-    "assemble_mass",
+    "assemble_pencil",
     "interpolate",
     "norm_a",
 ]
@@ -148,79 +150,78 @@ def _eval_tensor(func, qpts):
     return vals.reshape(qpts.shape[0], qpts.shape[1], 2, 2)
 
 
-def _canonical_csr(n: int, triangles: np.ndarray, local: np.ndarray) -> sp.csr_array:
-    """Scatter symmetric 3x3 element blocks into CSR with a fixed reduction order.
+def _scatter_plan(mesh: Mesh, dofmap: DofMap | None):
+    """Sort the element-block entries once; return their scatter into CSR.
 
-    Duplicates are grouped by a stable lexsort and summed left to right, so
-    the (i, j) and (j, i) accumulations see identical value sequences and the
-    result is exactly symmetric and reproducible.
+    Entries in an eliminated row or column are dropped and the rest grouped
+    by a stable sort of the key ``row * n + col``.  The scatter symmetrizes
+    ``(n_triangles, 3, 3)`` blocks in place, sums each group in that order
+    and gives each matrix its own copy of the pattern.
     """
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    vals = local.ravel()
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    idx_dtype = np.int32 if 9 * mesh.n_triangles < np.iinfo(np.int32).max else np.int64
+    dof_to_vertex = np.arange(mesh.n_vertices) if dofmap is None else dofmap.dof_to_vertex
+    n = dof_to_vertex.shape[0]
+    vertex_dof = np.full(mesh.n_vertices, -1)
+    vertex_dof[dof_to_vertex] = np.arange(n)
 
-    starts = np.empty(rows.shape[0], dtype=bool)
-    starts[0] = True
-    starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    first = np.flatnonzero(starts)
-    data = np.add.reduceat(vals, first)
-    idx_dtype = np.int32 if rows.shape[0] < np.iinfo(np.int32).max else np.int64
-    indices = cols[first].astype(idx_dtype)
+    tri_dofs = vertex_dof[mesh.triangles]
+    rows, cols = tri_dofs[:, :, None], tri_dofs[:, None, :]
+    kept = np.flatnonzero((rows >= 0) & (cols >= 0)).astype(idx_dtype)
+    key = (rows * n + cols).ravel()[kept]
+    perm = np.argsort(key, kind="stable")
+    order, key = kept[perm], key[perm]
+    starts = np.ones(key.shape[0], dtype=bool)
+    starts[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(starts).astype(idx_dtype)
+    rows, cols = np.divmod(key[first], n)
+    indices = cols.astype(idx_dtype)
     indptr = np.zeros(n + 1, dtype=idx_dtype)
-    indptr[1:] = np.cumsum(np.bincount(rows[first], minlength=n))
-    return sp.csr_array((data, indices, indptr), shape=(n, n))
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
+
+    def scatter(local: np.ndarray) -> sp.csr_array:
+        local += local.transpose(0, 2, 1)
+        local *= 0.5
+        data = np.add.reduceat(local.ravel()[order], first)
+        return sp.csr_array((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+    return scatter
 
 
-def _restrict(matrix: sp.csr_array, dofmap: DofMap | None) -> sp.csr_array:
-    if dofmap is None:
-        return matrix
-    keep = dofmap.dof_to_vertex
-    return matrix[keep][:, keep]
+def _midpoint_form(fw: np.ndarray) -> np.ndarray:
+    """Midpoint-rule element blocks of ``integral(f u v)``; ``fw`` is f times weight."""
+    return np.einsum("tq,iq,jq->tij", fw, _MIDPOINT_BASIS, _MIDPOINT_BASIS, optimize=True)
 
 
-def assemble_stiffness(
-    mesh: Mesh, dofmap: DofMap | None, coeff: CoefficientField
-) -> sp.csr_array:
-    """Assemble the bilinear form ``integral(grad u . A grad v + phi u v)``.
-
-    With ``dofmap`` given, rows and columns of boundary vertices are
-    eliminated and the result is symmetric positive definite over interior
-    dofs.  ``dofmap=None`` returns the full vertex matrix (singular for the
-    pure gradient term: constants lie in its kernel).
-    """
-    area, grads, qpts = _geometry(mesh)
-    weights = area / 3.0
-
-    a_vals = _eval_tensor(coeff.a, qpts)
-    ag = np.einsum("tqab,tjb->tqja", a_vals, grads)
-    local = np.einsum("tia,tqja->tij", grads, ag) * weights[:, None, None]
-
+def _stiffness_blocks(coeff, grads, qpts, weights):
+    """Stiffness element blocks; constant gradients let the tensor's quadrature fold."""
+    a_sum = _eval_tensor(coeff.a, qpts).sum(axis=1)
+    local = np.einsum("tia,tab,tjb->tij", grads, a_sum, grads, optimize=True)
+    local *= weights[:, :, None]
     phi_vals = _eval_scalar(coeff.phi, qpts, "reaction")
     if np.any(phi_vals):
-        local += np.einsum(
-            "tq,iq,jq->tij", phi_vals * weights[:, None], _MIDPOINT_BASIS, _MIDPOINT_BASIS
-        )
-
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _restrict(_canonical_csr(mesh.n_vertices, mesh.triangles, local), dofmap)
+        local += _midpoint_form(phi_vals * weights)
+    return local
 
 
-def assemble_mass(mesh: Mesh, dofmap: DofMap | None, rho) -> sp.csr_array:
-    """Assemble the weighted mass form ``integral(rho u v)``.
+def assemble_pencil(
+    mesh: Mesh, dofmap: DofMap | None, coeff: CoefficientField
+) -> tuple[sp.csr_array, sp.csr_array]:
+    """Assemble the stiffness and mass matrices of ``coeff`` on ``mesh``.
 
-    ``rho`` is a positive scalar field ``rho(x, y)`` (vectorized); the result
-    is symmetric positive definite.
+    The stiffness form is ``integral(grad u . A grad v + phi u v)`` and the
+    mass form ``integral(rho u v)``.  With ``dofmap`` given, rows and columns
+    of boundary vertices are eliminated and both matrices are symmetric
+    positive definite over interior dofs.  ``dofmap=None`` returns the full
+    vertex matrices (the stiffness is singular for the pure gradient term:
+    constants lie in its kernel).
     """
-    area, _, qpts = _geometry(mesh)
-    weights = area / 3.0
-    rho_vals = _eval_scalar(rho, qpts, "mass weight")
-    local = np.einsum(
-        "tq,iq,jq->tij", rho_vals * weights[:, None], _MIDPOINT_BASIS, _MIDPOINT_BASIS
-    )
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    return _restrict(_canonical_csr(mesh.n_vertices, mesh.triangles, local), dofmap)
+    scatter = _scatter_plan(mesh, dofmap)
+    area, grads, qpts = _geometry(mesh)
+    weights = (area / 3.0)[:, None]
+    stiffness = scatter(_stiffness_blocks(coeff, grads, qpts, weights))
+    del grads  # lowers the peak: the mass blocks do not need it
+    rho_vals = _eval_scalar(coeff.rho, qpts, "mass weight")
+    return stiffness, scatter(_midpoint_form(rho_vals * weights))
 
 
 def interpolate(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:

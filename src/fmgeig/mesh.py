@@ -38,9 +38,9 @@ __all__ = [
 Prolongation = sp.csr_array
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 2.2 KB per fine vertex (553 MiB at 263k
+#: Measured peak memory is about 1.35 KB per fine vertex (346 MiB at 263k
 #: vertices for the 7-level model problem from ``square:8``), so 2M vertices
-#: need about 4.3 GB, half of an 8 GB host.
+#: need about 2.7 GB, a third of an 8 GB host.
 MAX_VERTICES = 2_000_000
 
 

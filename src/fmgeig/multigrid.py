@@ -23,11 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import CoefficientField, assemble_mass, assemble_stiffness, interior_dofmap
+from .fem import CoefficientField, assemble_pencil, interior_dofmap
 from .linalg import cg_solve, cho_solve, cholesky_dense
 from .mesh import MeshHierarchy
 
 __all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
+
+#: Largest level-0 dof count :func:`build_mg_context` accepts.  Every
+#: correction step solves a dense pencil of ``n_0 + q`` rows: a q=6 ``eigh``
+#: took 0.71 s at 2025 dofs and 5.2 s at 3969 dofs on a 2-core host.
+MAX_COARSE_DOFS = 2000
 
 
 @dataclass
@@ -70,7 +75,8 @@ def build_mg_context(
     columns of the mesh prolongations; interior basis functions vanish on
     the boundary, so nothing is lost.  ``coarse_prolongation[k]`` is the
     product ``T_{k-1} ... T_0`` of the transfers ``T_j = transfer[j]``,
-    formed coarse to fine (the identity at level 0).
+    formed coarse to fine (the identity at level 0).  A level 0 with more
+    than :data:`MAX_COARSE_DOFS` dofs raises ``ValueError`` before assembly.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1, got %r" % (nu,))
@@ -78,14 +84,13 @@ def build_mg_context(
         raise ValueError("unknown smoother %r, only 'cg' is available" % (smoother,))
 
     dofmaps = [interior_dofmap(mesh) for mesh in hierarchy.meshes]
-    stiffness = [
-        assemble_stiffness(mesh, dm, coeff)
-        for mesh, dm in zip(hierarchy.meshes, dofmaps)
-    ]
-    mass = [
-        assemble_mass(mesh, dm, coeff.rho)
-        for mesh, dm in zip(hierarchy.meshes, dofmaps)
-    ]
+    if dofmaps[0].n_dofs > MAX_COARSE_DOFS:
+        raise ValueError(
+            "coarse mesh has %d interior dofs, above the dense-solve cap %d"
+            % (dofmaps[0].n_dofs, MAX_COARSE_DOFS)
+        )
+    pencils = [assemble_pencil(m, dm, coeff) for m, dm in zip(hierarchy.meshes, dofmaps)]
+    stiffness, mass = map(list, zip(*pencils))
     transfer = []
     for k, full in enumerate(hierarchy.prolongations):
         fine = dofmaps[k + 1].dof_to_vertex

@@ -250,8 +250,7 @@ def test_criterion_09_invariant_suite(model_coeff):
         (fg.unit_square_mesh(6), general.coefficients),
     ]:
         dofmap = fg.interior_dofmap(mesh)
-        a = fg.assemble_stiffness(mesh, dofmap, coeff)
-        b = fg.assemble_mass(mesh, dofmap, coeff.rho)
+        a, b = fg.assemble_pencil(mesh, dofmap, coeff)
         assert abs(a - a.T).max() == 0.0
         assert abs(b - b.T).max() == 0.0
         fg.cholesky_dense(b.toarray())
@@ -293,8 +292,7 @@ def test_criterion_09_invariant_suite(model_coeff):
     for nx in (3, 4, 8):
         mesh = fg.unit_square_mesh(nx)
         dofmap = fg.interior_dofmap(mesh)
-        a = fg.assemble_stiffness(mesh, dofmap, model_coeff).toarray()
-        b = fg.assemble_mass(mesh, dofmap, model_coeff.rho).toarray()
+        a, b = (m.toarray() for m in fg.assemble_pencil(mesh, dofmap, model_coeff))
         vals, vecs = fg.generalized_eig_dense(a, b, 1)
         assert vals[0] >= LAM1 * (1.0 - 1e-13)
         residual = np.linalg.norm(a @ vecs[:, 0] - vals[0] * (b @ vecs[:, 0]))

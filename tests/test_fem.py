@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,18 +16,67 @@ def rho_weighted(x, y):
     return 1.0 + (x - 0.5) * (y - 0.5)
 
 
+def perturbed_square_mesh(nx, seed=0):
+    # Interior vertices move by up to 0.2 h; the boundary stays put.
+    mesh = fg.unit_square_mesh(nx)
+    shift = np.random.default_rng(seed).uniform(-0.2 / nx, 0.2 / nx, mesh.vertices.shape)
+    shift[mesh.boundary_vertex] = 0.0
+    return dataclasses.replace(mesh, vertices=mesh.vertices + shift)
+
+
+def loop_pencil(mesh, coeff):
+    """Dense stiffness and mass by a plain loop over triangles and midpoints."""
+    n = mesh.n_vertices
+    stiffness, mass = np.zeros((n, n)), np.zeros((n, n))
+    for tri in mesh.triangles:
+        corners = mesh.vertices[tri]
+        # Column i holds (c, gx, gy) of the hat function c + gx x + gy y of corner i.
+        hats = np.linalg.inv(np.column_stack([np.ones(3), corners]))
+        area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), corners])))
+        for k in range(3):
+            x, y = 0.5 * (corners[k] + corners[(k + 1) % 3])
+            px, py = np.array([x]), np.array([y])
+            tensor = np.broadcast_to(coeff.a(px, py), (1, 2, 2))[0]
+            phi = float(np.broadcast_to(coeff.phi(px, py), (1,))[0])
+            rho = float(np.broadcast_to(coeff.rho(px, py), (1,))[0])
+            values = hats[0] + hats[1] * x + hats[2] * y
+            for i in range(3):
+                for j in range(3):
+                    grad_term = hats[1:, i] @ tensor @ hats[1:, j]
+                    product = values[i] * values[j]
+                    stiffness[tri[i], tri[j]] += area / 3.0 * (grad_term + phi * product)
+                    mass[tri[i], tri[j]] += area / 3.0 * rho * product
+    return stiffness, mass
+
+
+class TestAssemblePencil:
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_matches_unfolded_triangle_loop(self, interior):
+        # Variable tensor, reaction and mass weight on a non-uniform mesh.
+        mesh = perturbed_square_mesh(4)
+        coeff = fg.general_problem().coefficients
+        dofmap = fg.interior_dofmap(mesh) if interior else None
+        expected = loop_pencil(mesh, coeff)
+        if interior:
+            keep = np.ix_(dofmap.dof_to_vertex, dofmap.dof_to_vertex)
+            expected = tuple(matrix[keep] for matrix in expected)
+        for got, ref in zip(fg.assemble_pencil(mesh, dofmap, coeff), expected):
+            assert got.shape == ref.shape
+            assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestStiffness:
     def test_reference_element_matrix(self):
         # Exact integration of the constant P1 gradients on the unit triangle.
         mesh = fg.load_mesh(REFERENCE_TRIANGLE)
-        matrix = fg.assemble_stiffness(mesh, None, fg.laplace_coefficients()).toarray()
+        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[0].toarray()
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.abs(matrix - expected).max() < 1e-15
 
     @pytest.mark.parametrize("nx", [2, 4, 7])
     def test_full_matrix_rows_sum_to_zero(self, nx):
         mesh = fg.unit_square_mesh(nx)
-        matrix = fg.assemble_stiffness(mesh, None, fg.laplace_coefficients())
+        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[0]
         sums = np.asarray(matrix.sum(axis=1)).ravel()
         assert np.abs(sums).max() < 1e-12
 
@@ -35,9 +86,8 @@ class TestStiffness:
         coeff = fg.CoefficientField(
             a=lambda x, y: np.eye(2), phi=lambda x, y: 1.0, rho=lambda x, y: 1.0
         )
-        combined = fg.assemble_stiffness(mesh, dofmap, coeff)
-        laplace = fg.assemble_stiffness(mesh, dofmap, fg.laplace_coefficients())
-        mass = fg.assemble_mass(mesh, dofmap, lambda x, y: 1.0)
+        combined = fg.assemble_pencil(mesh, dofmap, coeff)[0]
+        laplace, mass = fg.assemble_pencil(mesh, dofmap, fg.laplace_coefficients())
         diff = np.abs((combined - laplace - mass).toarray()).max()
         assert diff < 1e-12
 
@@ -53,18 +103,18 @@ class TestStiffness:
         spec = fg.general_problem()
         mesh = fg.unit_square_mesh(5)
         dofmap = fg.interior_dofmap(mesh)
-        first = fg.assemble_stiffness(mesh, dofmap, spec.coefficients)
-        second = fg.assemble_stiffness(mesh, dofmap, spec.coefficients)
-        assert np.array_equal(first.data, second.data)
-        assert np.array_equal(first.indices, second.indices)
-        assert np.array_equal(first.indptr, second.indptr)
+        first = fg.assemble_pencil(mesh, dofmap, spec.coefficients)
+        second = fg.assemble_pencil(mesh, dofmap, spec.coefficients)
+        for one, other in zip(first, second):
+            assert np.array_equal(one.data, other.data)
+            assert np.array_equal(one.indices, other.indices)
+            assert np.array_equal(one.indptr, other.indptr)
 
     def test_exact_symmetry_variable_coefficients(self):
         spec = fg.general_problem()
         mesh = fg.unit_square_mesh(6)
         dofmap = fg.interior_dofmap(mesh)
-        a = fg.assemble_stiffness(mesh, dofmap, spec.coefficients)
-        b = fg.assemble_mass(mesh, dofmap, spec.coefficients.rho)
+        a, b = fg.assemble_pencil(mesh, dofmap, spec.coefficients)
         assert abs(a - a.T).max() == 0.0
         assert abs(b - b.T).max() == 0.0
 
@@ -80,14 +130,14 @@ class TestStiffness:
             a=lambda x, y: np.eye(2), phi=bad_phi, rho=lambda x, y: 1.0
         )
         with pytest.raises(AssemblyError, match="triangle"):
-            fg.assemble_stiffness(mesh, None, coeff)
+            fg.assemble_pencil(mesh, None, coeff)
 
 
 class TestMass:
     def test_reference_element_matrix(self):
         # Exact integration of barycentric products, area 1/2.
         mesh = fg.load_mesh(REFERENCE_TRIANGLE)
-        matrix = fg.assemble_mass(mesh, None, lambda x, y: 1.0).toarray()
+        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[1].toarray()
         expected = (0.5 / 12.0) * np.array(
             [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
         )
@@ -95,13 +145,16 @@ class TestMass:
 
     def test_total_sum_is_domain_area(self):
         mesh = fg.unit_square_mesh(4)
-        matrix = fg.assemble_mass(mesh, None, lambda x, y: 1.0)
+        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[1]
         assert abs(matrix.sum() - 1.0) < 1e-12
 
     def test_weighted_sum_matches_integral(self):
         # integral of 1 + (x-1/2)(y-1/2) over the unit square is exactly 1.
         mesh = fg.unit_square_mesh(16)
-        matrix = fg.assemble_mass(mesh, None, rho_weighted)
+        coeff = fg.CoefficientField(
+            a=lambda x, y: np.eye(2), phi=lambda x, y: 0.0, rho=rho_weighted
+        )
+        matrix = fg.assemble_pencil(mesh, None, coeff)[1]
         assert abs(matrix.sum() - 1.0) <= 1e-10
 
     def test_positive_definite(self, small_ctx):
@@ -123,8 +176,7 @@ class TestSpectralBounds:
         mesh = fg.unit_square_mesh(64)
         dofmap = fg.interior_dofmap(mesh)
         coeff = fg.laplace_coefficients()
-        a = fg.assemble_stiffness(mesh, dofmap, coeff)
-        b = fg.assemble_mass(mesh, dofmap, coeff.rho)
+        a, b = fg.assemble_pencil(mesh, dofmap, coeff)
         v = fg.interpolate(mesh, dofmap, first_eigenfunction)
         quotient = fg.norm_a(a, v) ** 2 / fg.norm_a(b, v) ** 2
         assert lam1_exact <= quotient <= lam1_exact * 1.01

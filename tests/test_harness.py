@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -226,6 +228,22 @@ class TestCLI:
         code = main([
             "run", "--problem", "general", "--mesh", "square:4", "--levels", "2",
             "--direct-tol=" + tol, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    def test_coarse_mesh_above_dense_cap_rejected_before_assembly(self, tmp_path, monkeypatch):
+        # square:N has (N - 1)**2 interior dofs; this N is the first above the cap.
+        nx = math.isqrt(fg.multigrid.MAX_COARSE_DOFS) + 2
+
+        def assemble(*args, **kwargs):
+            raise AssertionError("assembly ran before the coarse-size check")
+
+        monkeypatch.setattr("fmgeig.multigrid.assemble_pencil", assemble)
+        out = tmp_path / "cli.csv"
+        code = main([
+            "run", "--problem", "model", "--mesh", "square:%d" % nx, "--levels", "2",
+            "--out", str(out),
         ])
         assert code == 2
         assert not out.exists()
