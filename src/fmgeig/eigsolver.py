@@ -7,15 +7,16 @@ correction step runs ``m`` V-cycles on the auxiliary source problem
 
     A_k u_new = lambda_j * B_k u_j    (initial guess u_j)
 
-for every tracked pair, then solves a small dense eigenproblem on the
-coarse space augmented with the smoothed vectors and maps the Ritz pairs
-back to the fine level.  The cost is dominated by the V-cycles, so the full
-sweep over levels is linear in the finest dof count.
+for all tracked pairs at once, as one block of V-cycles, then solves a
+small dense eigenproblem on the coarse space augmented with the smoothed
+vectors and maps the Ritz pairs back to the fine level.  The cost is
+dominated by the V-cycles, so the full sweep over levels is linear in the
+finest dof count.
 
 All operations keep the eigenvector blocks orthonormal in the mass inner
 product and return eigenvalues in ascending order with a deterministic sign
 convention.  :func:`direct_fine_solve` provides an independent baseline:
-LOBPCG on the fine-level pencil with one V-cycle as preconditioner.
+LOBPCG on the fine-level pencil with one block V-cycle as preconditioner.
 """
 
 from __future__ import annotations
@@ -165,29 +166,30 @@ def one_correction_step(
 ) -> EigenApprox:
     """Improve the eigenpairs on their level by one multigrid correction.
 
-    For each pair, ``m`` V-cycles approximate the auxiliary source problem
-    with right-hand side ``lambda_j B u_j``; the coarse space plus the span
-    of the smoothed vectors then yields new Ritz pairs.  Exact eigenpairs
-    are a fixed point.
+    ``m`` block V-cycles approximate the auxiliary source problems with
+    right-hand sides ``lambda_j B u_j``; the coarse space plus the span of
+    the smoothed vectors then yields new Ritz pairs.  Exact eigenpairs are a
+    fixed point.  Raises :class:`SolverError` when the cycles increase the
+    residual of any pair.
     """
     k = approx.level
     if k < 1:
         raise ValueError("correction requires a level above the coarsest, got %d" % k)
     a_k = ctx.stiffness[k]
     b_k = ctx.mass[k]
-    q = approx.q
 
-    smoothed = np.empty_like(approx.vectors)
-    for j in range(q):
-        rhs = approx.eigenvalues[j] * (b_k @ approx.vectors[:, j])
-        before = float(np.linalg.norm(rhs - a_k @ approx.vectors[:, j]))
-        smoothed[:, j] = mg_solve(ctx, k, rhs, approx.vectors[:, j], config.m)
-        after = float(np.linalg.norm(rhs - a_k @ smoothed[:, j]))
-        floor = 1e-12 * float(np.linalg.norm(rhs))
-        if after > max(before * (1.0 + 1e-8), floor):
-            raise SolverError(
-                "multigrid diverged on pair %d: residual %g -> %g" % (j, before, after)
-            )
+    rhs = (b_k @ approx.vectors) * approx.eigenvalues
+    before = np.linalg.norm(rhs - a_k @ approx.vectors, axis=0)
+    smoothed = mg_solve(ctx, k, rhs, approx.vectors, config.m)
+    a_s = a_k @ smoothed
+    after = np.linalg.norm(rhs - a_s, axis=0)
+    floor = 1e-12 * np.linalg.norm(rhs, axis=0)
+    diverged = np.flatnonzero(after > np.maximum(before * (1.0 + 1e-8), floor))
+    if diverged.size:
+        j = diverged[0]
+        raise SolverError(
+            "multigrid diverged on pair %d: residual %g -> %g" % (j, before[j], after[j])
+        )
 
     # Basis of the augmented space: composed coarse prolongation plus the
     # smoothed vectors.  The projected pencil is dense and small.
@@ -195,21 +197,15 @@ def one_correction_step(
     ap = a_k @ prolong
     bp = b_k @ prolong
     n_h = prolong.shape[1]
-    dim = n_h + q
-    a_aug = np.empty((dim, dim))
-    b_aug = np.empty((dim, dim))
-    a_aug[:n_h, :n_h] = (prolong.T @ ap).toarray()
-    b_aug[:n_h, :n_h] = (prolong.T @ bp).toarray()
-    a_aug[:n_h, n_h:] = ap.T @ smoothed
-    b_aug[:n_h, n_h:] = bp.T @ smoothed
-    a_aug[n_h:, :n_h] = a_aug[:n_h, n_h:].T
-    b_aug[n_h:, :n_h] = b_aug[:n_h, n_h:].T
-    a_aug[n_h:, n_h:] = smoothed.T @ (a_k @ smoothed)
-    b_aug[n_h:, n_h:] = smoothed.T @ (b_k @ smoothed)
+    b_s = b_k @ smoothed
+    a_cross = ap.T @ smoothed
+    b_cross = bp.T @ smoothed
+    a_aug = np.block([[(prolong.T @ ap).toarray(), a_cross], [a_cross.T, smoothed.T @ a_s]])
+    b_aug = np.block([[(prolong.T @ bp).toarray(), b_cross], [b_cross.T, smoothed.T @ b_s]])
     a_aug = 0.5 * (a_aug + a_aug.T)
     b_aug = 0.5 * (b_aug + b_aug.T)
 
-    vals, ritz, kept = augmented_ritz(a_aug, b_aug, q, GRAM_DROP_TOL)
+    vals, ritz, kept = augmented_ritz(a_aug, b_aug, approx.q, GRAM_DROP_TOL)
     kept_coarse = kept[kept < n_h]
     kept_smoothed = kept[kept >= n_h] - n_h
     split = kept_coarse.shape[0]
@@ -279,16 +275,11 @@ def direct_fine_solve(
         return coarse_eigensolve(ctx, q, level)
     a_scale = float(np.abs(a.data).max())
 
-    def precondition(block: np.ndarray) -> np.ndarray:
-        return np.column_stack(
-            [v_cycle(ctx, level, r, np.zeros_like(r)) for r in block.T]
-        )
-
     block = np.random.default_rng(0).standard_normal((n, q + 2))
     for _ in range(DIRECT_ATTEMPTS):
         vals, block = scipy.sparse.linalg.lobpcg(
-            a, block, B=b, M=precondition, tol=0.1 * tol * a_scale,
-            maxiter=DIRECT_MAX_ITERS, largest=False,
+            a, block, B=b, M=lambda r: v_cycle(ctx, level, r, np.zeros_like(r)),
+            tol=0.1 * tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
         )
         order = np.argsort(vals)
         vals, block = vals[order], block[:, order]

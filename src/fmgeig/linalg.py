@@ -30,56 +30,62 @@ def cg_solve(
     x0: np.ndarray | None = None,
     max_iters: int | None = None,
     tol: float = 1e-10,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Conjugate gradients for symmetric positive definite systems.
 
-    Iterates until the residual drops below ``tol`` times the initial
-    residual ``|b - M x0|`` or ``max_iters`` is reached, whichever comes
-    first; with ``tol = 0`` exactly ``max_iters`` iterations run, which is
-    how the multigrid smoother uses it.  The energy-norm error is
-    non-increasing over iterations.
+    ``b`` is a vector or an ``(n, q)`` block solved column-wise (not block
+    CG): each column iterates as if solved alone, until its residual drops
+    below ``tol`` times its initial residual ``|b - M x0|`` or ``max_iters``
+    is reached; with ``tol = 0`` exactly ``max_iters`` iterations run on
+    every nonzero column, which is how the multigrid smoother uses it.  The
+    energy-norm error of each column is non-increasing over iterations.
 
     Returns
     -------
     (x, iterations, residual)
-        Final iterate, iteration count and final residual 2-norm.
+        Final iterate, the iteration count summed over columns and the
+        final residual 2-norm of each column.
 
     Raises
     ------
     NotPositiveDefiniteError
-        On breakdown ``p' M p <= 0`` for a nonzero search direction.
+        On breakdown ``p' M p <= 0`` in a column still iterating.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix/vector dimension mismatch")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if max_iters is None:
         max_iters = 10 * n
 
+    # Column dots by einsum: multithreaded BLAS-1 is slow on short columns.
     r = b - matrix @ x
-    rr = float(r @ r)
-    ref = np.sqrt(rr)
-    if ref == 0.0:
-        return x, 0, 0.0
-    threshold = (tol * ref) ** 2
+    rr = np.einsum("i...,i...->...", r, r)
+    threshold = tol**2 * rr
     p = r.copy()
-    iters = 0
-    while iters < max_iters and rr > threshold:
+    iters = np.zeros(rr.shape, dtype=int)
+    for _ in range(max_iters):
+        live = rr > threshold
+        if not live.any():
+            break
         mp = matrix @ p
-        pmp = float(p @ mp)
-        if pmp <= 0.0:
+        pmp = np.einsum("i...,i...->...", p, mp)
+        broken = live & (pmp <= 0.0)
+        if broken.any():
             raise NotPositiveDefiniteError(
-                "conjugate gradient breakdown: p'Mp = %g" % pmp
+                "conjugate gradient breakdown: p'Mp = %g" % pmp[broken].min()
             )
-        alpha = rr / pmp
+        alpha = np.divide(rr, pmp, out=np.zeros_like(rr), where=live)
         x += alpha * p
-        r -= alpha * mp
-        rr_next = float(r @ r)
-        p = r + (rr_next / rr) * p
+        mp *= alpha
+        r -= mp
+        rr_next = np.einsum("i...,i...->...", r, r)
+        p *= np.divide(rr_next, rr, out=np.zeros_like(rr), where=live)
+        p += r
         rr = rr_next
-        iters += 1
-    return x, iters, float(np.sqrt(rr))
+        iters += live
+    return x, int(iters.sum()), np.sqrt(rr)
 
 
 def cholesky_dense(matrix: np.ndarray) -> np.ndarray:
@@ -98,10 +104,8 @@ def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def sign_fix(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so each largest-magnitude entry is positive (in place)."""
-    for j in range(vectors.shape[1]):
-        lead = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[lead, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    lead = np.argmax(np.abs(vectors), axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return vectors
 
 

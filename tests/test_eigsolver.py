@@ -154,6 +154,20 @@ class TestOneCorrectionStep:
         out = fg.one_correction_step(small_ctx, approx, config)
         assert b_orthonormality_drift(small_ctx.mass[level], out.vectors) <= 1e-10
 
+    def test_divergence_names_first_bad_pair(self, small_ctx, monkeypatch):
+        # A stand-in for mg_solve that spoils pair 1 only.
+        def spoil(ctx, level, f, x0, m):
+            out = x0.copy()
+            out[:, 1] += 1.0
+            return out
+
+        monkeypatch.setattr("fmgeig.eigsolver.mg_solve", spoil)
+        coarse = fg.coarse_eigensolve(small_ctx, 3)
+        lifted = fg.b_orthonormalize(small_ctx.mass[1], small_ctx.transfer[0] @ coarse.vectors)
+        approx = EigenApprox(1, coarse.eigenvalues.copy(), lifted)
+        with pytest.raises(SolverError, match="multigrid diverged on pair 1: residual"):
+            fg.one_correction_step(small_ctx, approx, fg.SolverConfig(q=3))
+
 
 class TestAugmentedRitz:
     def test_duplicate_column_dropped_result_unchanged(self):

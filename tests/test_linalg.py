@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 import fmgeig as fg
 from fmgeig.errors import NotPositiveDefiniteError
-from fmgeig.linalg import cho_solve
+from fmgeig.linalg import cho_solve, sign_fix
 
 
 def random_spd(n, rng):
@@ -60,6 +60,34 @@ class TestCG:
         b = np.ones(matrix.shape[0])
         _, iters, _ = fg.cg_solve(matrix, b, tol=0.0, max_iters=3)
         assert iters == 3
+
+    def test_block_matches_single_columns(self, small_ctx):
+        # Columns: random, zero, exact initial guess, random.
+        matrix = small_ctx.stiffness[1]
+        n = matrix.shape[0]
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((n, 4))
+        x0 = np.zeros((n, 4))
+        b[:, 1] = 0.0
+        x0[:, 2] = rng.standard_normal(n)
+        b[:, 2] = matrix @ x0[:, 2]
+        x, iters, res = fg.cg_solve(matrix, b, x0, tol=1e-8, max_iters=1000)
+        singles = [
+            fg.cg_solve(matrix, b[:, j], x0[:, j], tol=1e-8, max_iters=1000)
+            for j in range(4)
+        ]
+        assert iters == sum(single[1] for single in singles)
+        assert [single[1] for single in singles][1:3] == [0, 0]
+        for j in (1, 2):
+            assert np.array_equal(x[:, j], x0[:, j]) and res[j] == 0.0
+        for j, (xj, _, rj) in enumerate(singles):
+            assert np.abs(x[:, j] - xj).max() <= 1e-14 * max(np.abs(xj).max(), 1.0)
+            assert abs(res[j] - rj) <= 1e-14 * max(rj, 1.0)
+
+    def test_block_breakdown_on_indefinite_column(self):
+        matrix = sp.csr_array(sp.diags([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            fg.cg_solve(matrix, np.eye(2), tol=0.0, max_iters=5)
 
 
 class TestCholesky:
@@ -128,6 +156,19 @@ class TestGeneralizedEig:
         vals, _ = fg.generalized_eig_dense(a, b, n)
         expected = scipy.linalg.eigh(a, b, eigvals_only=True)
         assert np.abs(vals - expected).max() < 1e-9
+
+    def test_sign_fix_matches_column_loop(self):
+        # Ties pick the first maximum; zeros keep the sign negation gives them.
+        vectors = np.array([[-2.0, 2.0, -0.0], [2.0, -2.0, 1.0], [-0.0, -0.0, -3.0]])
+        expected = vectors.copy()
+        for j in range(3):
+            lead = np.argmax(np.abs(expected[:, j]))
+            if expected[lead, j] < 0.0:
+                expected[:, j] = -expected[:, j]
+        out = sign_fix(vectors)
+        assert out is vectors
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
     def test_sign_convention(self):
         rng = np.random.default_rng(16)

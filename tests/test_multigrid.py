@@ -98,6 +98,21 @@ class TestVCycle:
         assert all(t < 1.0 for t in thetas)
         assert max(thetas) - min(thetas) < 0.1
 
+    def test_block_matches_single_columns(self, small_ctx):
+        level = small_ctx.n_levels - 1
+        rng = np.random.default_rng(7)
+        f = rng.standard_normal((small_ctx.n_dofs(level), 3))
+        x = rng.standard_normal(f.shape)
+        f_in, x_in = f.copy(), x.copy()
+        start = small_ctx.work_units
+        block = fg.v_cycle(small_ctx, level, f, x)
+        block_work = small_ctx.work_units - start
+        for j in range(3):
+            single = fg.v_cycle(small_ctx, level, f[:, j], x[:, j])
+            assert np.abs(block[:, j] - single).max() <= 1e-13 * np.abs(single).max()
+        assert small_ctx.work_units - start == 2 * block_work
+        assert np.array_equal(f, f_in) and np.array_equal(x, x_in)
+
     def test_level_out_of_range(self, small_ctx):
         zero = np.zeros(small_ctx.n_dofs(0))
         with pytest.raises(ValueError):
