@@ -38,9 +38,10 @@ __all__ = [
 Prolongation = sp.csr_array
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 1.35 KB per fine vertex (346 MiB at 263k
+#: Measured peak memory is about 1.22 KB per fine vertex (305-307 MiB at 263k
 #: vertices for the 7-level model problem from ``square:8``), so 2M vertices
-#: need about 2.7 GB, a third of an 8 GB host.
+#: need about 2.4 GB, under a third of an 8 GB host.  The cap also keeps the
+#: int32 connectivity and CSR index arrays of meshes and matrices in range.
 MAX_VERTICES = 2_000_000
 
 
@@ -52,10 +53,16 @@ class Mesh:
     ----------
     vertices : ndarray, shape (nv, 2)
         Vertex coordinates.
-    triangles : ndarray, shape (nt, 3)
+    triangles : ndarray of int32, shape (nt, 3)
         Vertex indices of each triangle, counterclockwise.
     boundary_vertex : ndarray of bool, shape (nv,)
         True for vertices lying on an edge owned by exactly one triangle.
+    edges : ndarray of int32, shape (ne, 2)
+        Every undirected edge once, as a vertex pair ``u < v``, in
+        lexicographic order.
+    triangle_edges : ndarray of int32, shape (nt, 3)
+        Row of ``edges`` holding each triangle's local vertex pairs (0, 1),
+        (1, 2) and (2, 0).
     level : int
         Refinement generation (0 for an initial mesh).
     """
@@ -63,6 +70,8 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_vertex: np.ndarray
+    edges: np.ndarray
+    triangle_edges: np.ndarray
     level: int = 0
 
     @property
@@ -92,33 +101,26 @@ class MeshHierarchy:
         return len(self.meshes)
 
 
-def _edge_keys(a: np.ndarray, b: np.ndarray, nv: int) -> np.ndarray:
-    """Packed int64 key ``min * nv + max`` of each undirected edge ``(a, b)``."""
-    return np.minimum(a, b) * np.int64(nv) + np.maximum(a, b)
-
-
-def _sorted_edges(
+def _edge_table(
     triangles: np.ndarray, nv: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique undirected edges, per-edge triangle counts and their sorted keys.
+    """Unique undirected edges, each triangle's edge ids and per-edge triangle counts.
 
-    Edges are sorted vertex pairs in lexicographic order, which is the
-    ascending order of their :func:`_edge_keys`.
+    Edges are sorted vertex pairs in lexicographic order, the ascending order
+    of the packed int64 key ``min * nv + max``.
     """
-    raw = np.concatenate(
-        [
-            _edge_keys(triangles[:, a], triangles[:, b], nv)
-            for a, b in ((0, 1), (1, 2), (2, 0))
-        ]
+    ends = triangles[:, [1, 2, 0]]
+    keys = np.minimum(triangles, ends).astype(np.int64) * nv + np.maximum(triangles, ends)
+    keys, triangle_edges, counts = np.unique(
+        keys.ravel(), return_inverse=True, return_counts=True
     )
-    keys, counts = np.unique(raw, return_counts=True)
-    return np.column_stack(np.divmod(keys, nv)), counts, keys
+    edges = np.column_stack(np.divmod(keys, nv)).astype(np.int32)
+    return edges, triangle_edges.reshape(-1, 3).astype(np.int32), counts
 
 
 def _signed_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    v0 = vertices[triangles[:, 0]]
-    v1 = vertices[triangles[:, 1]]
-    v2 = vertices[triangles[:, 2]]
+    # take gathers rows about ten times faster than fancy indexing.
+    v0, v1, v2 = (vertices.take(triangles[:, k], axis=0) for k in range(3))
     d1 = v1 - v0
     d2 = v2 - v0
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -127,25 +129,24 @@ def _signed_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.nda
 def _build_mesh(vertices: np.ndarray, triangles: np.ndarray, level: int) -> Mesh:
     """Validate connectivity, derive boundary flags and freeze the arrays."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     nv = vertices.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError("triangle refers to vertex index outside 0..%d" % (nv - 1))
+    triangles = np.ascontiguousarray(triangles, dtype=np.int32)
     if np.any(_signed_doubled_areas(vertices, triangles) <= 0.0):
         bad = int(np.flatnonzero(_signed_doubled_areas(vertices, triangles) <= 0.0)[0])
         raise ValueError("triangle %d has non-positive area (orientation?)" % bad)
 
-    edges, counts, _ = _sorted_edges(triangles, nv)
+    edges, triangle_edges, counts = _edge_table(triangles, nv)
     if counts.max(initial=0) > 2:
         raise ValueError("non-conforming mesh: an edge is shared by >2 triangles")
 
     boundary = np.zeros(nv, dtype=bool)
     boundary[edges[counts == 1].ravel()] = True
 
-    vertices.setflags(write=False)
-    triangles.setflags(write=False)
-    boundary.setflags(write=False)
-    return Mesh(vertices, triangles, boundary, level)
+    for array in (vertices, triangles, boundary, edges, triangle_edges):
+        array.setflags(write=False)
+    return Mesh(vertices, triangles, boundary, edges, triangle_edges, level)
 
 
 def unit_square_mesh(nx: int) -> Mesh:
@@ -254,28 +255,22 @@ def save_mesh(mesh: Mesh) -> str:
 def refine_regular(mesh: Mesh) -> tuple[Mesh, Prolongation]:
     """Split every triangle into four congruent children via edge midpoints.
 
-    Midpoint vertices are created once per undirected edge (keyed by the
-    sorted vertex pair), so the fine mesh has ``V + E`` vertices and the
-    result is independent of triangle ordering.  Returns the fine mesh and
-    the prolongation whose rows hold 1 for retained coarse vertices and two
+    Midpoint vertex ``V + e`` is created once for row ``e`` of
+    ``mesh.edges``, so the fine mesh has ``V + E`` vertices and the result
+    is independent of triangle ordering.  Returns the fine mesh and the
+    prolongation whose rows hold 1 for retained coarse vertices and two
     entries of 1/2 for midpoint vertices.
     """
     tri = mesh.triangles
     nv = mesh.n_vertices
-    edges, _, keys = _sorted_edges(tri, nv)
+    edges = mesh.edges
     ne = edges.shape[0]
 
-    midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+    ends = [mesh.vertices.take(edges[:, k], axis=0) for k in range(2)]
+    midpoints = 0.5 * (ends[0] + ends[1])
     fine_vertices = np.concatenate([mesh.vertices, midpoints])
 
-    # Locate each triangle edge in the unique sorted-edge table.
-    def edge_ids(a, b):
-        return nv + np.searchsorted(keys, _edge_keys(tri[:, a], tri[:, b], nv))
-
-    m01 = edge_ids(0, 1)
-    m12 = edge_ids(1, 2)
-    m20 = edge_ids(2, 0)
-
+    m01, m12, m20 = (nv + mesh.triangle_edges).T
     children = np.concatenate(
         [
             np.column_stack([tri[:, 0], m01, m20]),
@@ -286,13 +281,12 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, Prolongation]:
     )
     fine = _build_mesh(fine_vertices, children, level=mesh.level + 1)
 
-    rows = np.concatenate([np.arange(nv), np.repeat(nv + np.arange(ne), 2)])
-    cols = np.concatenate([np.arange(nv), edges.ravel()])
+    # Row i < V is the unit vector of vertex i; row V + e averages the
+    # endpoints u < v of edge e, so every row's columns are already sorted.
+    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
+    indices = np.concatenate([np.arange(nv), edges.ravel()])
     vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    prolongation = sp.csr_array(
-        (vals, (rows, cols)), shape=(nv + ne, nv)
-    )
-    prolongation.sort_indices()
+    prolongation = sp.csr_array((vals, indices, indptr), shape=(nv + ne, nv))
     return fine, prolongation
 
 
@@ -312,7 +306,7 @@ def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
         raise ValueError("n_levels must be >= 1, got %r" % (n_levels,))
 
     nv, nt = coarse.n_vertices, coarse.n_triangles
-    ne = _sorted_edges(coarse.triangles, nv)[0].shape[0]
+    ne = coarse.edges.shape[0]
     for _ in range(n_levels - 1):
         nv, ne, nt = _projected_refined_counts(nv, ne, nt)
         if nv > MAX_VERTICES:

@@ -49,20 +49,38 @@ def loop_pencil(mesh, coeff):
     return stiffness, mass
 
 
+# square1 and square2 have interior edges whose endpoints both lie on the
+# boundary (the diagonal of square1, the corner diagonals of square2), which
+# elimination must drop.
+LOOP_MESHES = {
+    "perturbed4": lambda: perturbed_square_mesh(4),
+    "square1": lambda: fg.unit_square_mesh(1),
+    "square2": lambda: fg.unit_square_mesh(2),
+}
+
+
 class TestAssemblePencil:
     @pytest.mark.parametrize("interior", [False, True])
-    def test_matches_unfolded_triangle_loop(self, interior):
-        # Variable tensor, reaction and mass weight on a non-uniform mesh.
-        mesh = perturbed_square_mesh(4)
+    @pytest.mark.parametrize("mesh_name", sorted(LOOP_MESHES))
+    def test_matches_unfolded_triangle_loop(self, mesh_name, interior):
+        # Variable tensor, reaction and mass weight.
+        mesh = LOOP_MESHES[mesh_name]()
         coeff = fg.general_problem().coefficients
         dofmap = fg.interior_dofmap(mesh) if interior else None
         expected = loop_pencil(mesh, coeff)
         if interior:
             keep = np.ix_(dofmap.dof_to_vertex, dofmap.dof_to_vertex)
             expected = tuple(matrix[keep] for matrix in expected)
-        for got, ref in zip(fg.assemble_pencil(mesh, dofmap, coeff), expected):
+        stiffness, mass = fg.assemble_pencil(mesh, dofmap, coeff)
+        for got, ref in zip((stiffness, mass), expected):
             assert got.shape == ref.shape
-            assert np.abs(got.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert got.has_canonical_format
+            scale = np.abs(ref).max(initial=0.0)
+            assert np.abs(got.toarray() - ref).max(initial=0.0) <= 1e-14 * scale
+        # Every mass entry of the pattern is positive, so the stored pattern
+        # is exactly the loop's nonzeros: dropped edges leave nothing behind.
+        assert mass.nnz == np.count_nonzero(expected[1])
+        assert np.array_equal(stiffness.indices, mass.indices)
 
 
 class TestStiffness:
@@ -98,6 +116,18 @@ class TestStiffness:
     def test_csr_indices_sorted(self, small_ctx):
         for matrix in small_ctx.stiffness + small_ctx.mass:
             assert matrix.has_sorted_indices
+            assert matrix.has_canonical_format  # sorted, no stored duplicates
+            assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+
+    def test_without_dofmap_full_singular_matrix(self):
+        mesh = fg.unit_square_mesh(3)
+        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[0]
+        assert matrix.shape == (mesh.n_vertices, mesh.n_vertices)
+        assert matrix.nnz == mesh.n_vertices + 2 * len(mesh.edges)
+        # Constants span the kernel and nothing else does.
+        eigenvalues = np.linalg.eigvalsh(matrix.toarray())
+        assert abs(eigenvalues[0]) < 1e-14
+        assert eigenvalues[1] > 1e-2
 
     def test_assembly_bit_reproducible(self):
         spec = fg.general_problem()

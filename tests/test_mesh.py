@@ -22,6 +22,46 @@ def edge_counts(mesh):
     return counts
 
 
+def mesh_text(vertices, triangles):
+    lines = ["%d %d" % (len(vertices), len(triangles))]
+    lines += ["%.17g %.17g" % (x, y) for x, y in vertices]
+    lines += ["%d %d %d" % tuple(t) for t in triangles]
+    return "\n".join(lines) + "\n"
+
+
+def shuffled_perturbed_mesh(nx=5, seed=0):
+    """Loaded unit square mesh: interior vertices moved by up to 0.2 h,
+    triangles in random order, each with its corners rotated at random."""
+    mesh = fg.unit_square_mesh(nx)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-0.2 / nx, 0.2 / nx, mesh.vertices.shape)
+    shift[mesh.boundary_vertex] = 0.0
+    tri = mesh.triangles[rng.permutation(mesh.n_triangles)]
+    turns = (np.arange(3) + rng.integers(0, 3, (len(tri), 1))) % 3
+    tri = np.take_along_axis(tri, turns, axis=1)
+    return fg.load_mesh(mesh_text(mesh.vertices + shift, tri))
+
+
+def triangle_set(mesh):
+    """Triangles as rows rotated to start at their smallest vertex, sorted."""
+    tri = mesh.triangles
+    start = np.argmin(tri, axis=1)[:, None]
+    tri = np.take_along_axis(tri, (start + np.arange(3)) % 3, axis=1)
+    return tri[np.lexsort(tri.T[::-1])]
+
+
+@pytest.fixture(
+    params=["square4", "loaded_perturbed"] + ["hierarchy_level%d" % k for k in range(4)]
+)
+def table_mesh(request):
+    if request.param == "square4":
+        return fg.unit_square_mesh(4)
+    if request.param == "loaded_perturbed":
+        return shuffled_perturbed_mesh()
+    level = int(request.param[-1])
+    return fg.build_hierarchy(shuffled_perturbed_mesh(3), 4).meshes[level]
+
+
 class TestUnitSquareMesh:
     def test_single_cell(self):
         mesh = fg.unit_square_mesh(1)
@@ -97,6 +137,42 @@ class TestLoadMesh:
         assert np.array_equal(mesh.triangles, reloaded.triangles)
 
 
+class TestEdgeTable:
+    def test_edges_unique_and_lexicographic(self, table_mesh):
+        edges = table_mesh.edges
+        assert edges.dtype == np.int32
+        assert np.all(edges[:, 0] < edges[:, 1])
+        first, second = edges[:-1], edges[1:]
+        assert np.all(
+            (second[:, 0] > first[:, 0])
+            | ((second[:, 0] == first[:, 0]) & (second[:, 1] > first[:, 1]))
+        )
+
+    def test_triangle_edges_name_the_local_pairs(self, table_mesh):
+        mesh = table_mesh
+        assert mesh.triangles.dtype == mesh.triangle_edges.dtype == np.int32
+        for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+            expected = np.sort(mesh.triangles[:, [a, b]], axis=1)
+            assert np.array_equal(mesh.edges[mesh.triangle_edges[:, k]], expected)
+
+    def test_single_owner_edges_set_the_boundary(self, table_mesh):
+        # Every mesh here covers the unit square with its boundary vertices
+        # unmoved, so an edge lies on the boundary exactly when both of its
+        # endpoints sit on the same side.
+        mesh = table_mesh
+        owners = np.bincount(mesh.triangle_edges.ravel(), minlength=len(mesh.edges))
+        assert owners.min() >= 1 and owners.max() <= 2
+        ends = mesh.vertices[mesh.edges]
+        on_side = np.zeros(len(mesh.edges), dtype=bool)
+        for axis in (0, 1):
+            for value in (0.0, 1.0):
+                on_side |= (ends[:, :, axis] == value).all(axis=1)
+        assert np.array_equal(owners == 1, on_side)
+        flags = np.zeros(mesh.n_vertices, dtype=bool)
+        flags[mesh.edges[owners == 1].ravel()] = True
+        assert np.array_equal(flags, mesh.boundary_vertex)
+
+
 class TestRefineRegular:
     def test_single_triangle_split(self):
         mesh = fg.load_mesh("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
@@ -136,6 +212,18 @@ class TestRefineRegular:
         for row in range(mesh.n_vertices, fine.n_vertices):
             entries = dense[row][dense[row] != 0.0]
             assert np.array_equal(entries, [0.5, 0.5])
+
+    def test_independent_of_parent_triangle_order(self):
+        mesh = shuffled_perturbed_mesh()
+        order = np.random.default_rng(1).permutation(mesh.n_triangles)
+        permuted = fg.load_mesh(mesh_text(mesh.vertices, mesh.triangles[order]))
+        fine, op = fg.refine_regular(mesh)
+        fine_permuted, op_permuted = fg.refine_regular(permuted)
+        assert np.array_equal(fine.vertices, fine_permuted.vertices)
+        assert np.array_equal(triangle_set(fine), triangle_set(fine_permuted))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(op, attr), getattr(op_permuted, attr))
+        assert op.has_canonical_format
 
     def test_prolongation_reproduces_linears_exactly(self):
         mesh = fg.unit_square_mesh(2)
