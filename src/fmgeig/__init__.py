@@ -27,7 +27,6 @@ from .errors import (
 )
 from .fem import (
     CoefficientField,
-    DofMap,
     assemble_pencil,
     interior_dofmap,
     interpolate,
@@ -51,7 +50,6 @@ from .mesh import (
     build_hierarchy,
     load_mesh,
     refine_regular,
-    save_mesh,
     triangle_areas,
     unit_square_mesh,
 )

@@ -35,7 +35,6 @@ from .mesh import Mesh
 
 __all__ = [
     "CoefficientField",
-    "DofMap",
     "laplace_coefficients",
     "interior_dofmap",
     "assemble_pencil",
@@ -82,20 +81,9 @@ def laplace_coefficients() -> CoefficientField:
     )
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Interior (non-boundary) vertices, increasing: dof i is ``dof_to_vertex[i]``."""
-
-    dof_to_vertex: np.ndarray
-
-    @property
-    def n_dofs(self) -> int:
-        return self.dof_to_vertex.shape[0]
-
-
-def interior_dofmap(mesh: Mesh) -> DofMap:
-    """Number the interior vertices of ``mesh`` contiguously."""
-    return DofMap(np.flatnonzero(~mesh.boundary_vertex))
+def interior_dofmap(mesh: Mesh) -> np.ndarray:
+    """Increasing interior (non-boundary) vertex ids: dof ``i`` is vertex ``[i]``."""
+    return np.flatnonzero(~mesh.boundary_vertex)
 
 
 def _geometry(mesh: Mesh):
@@ -123,40 +111,25 @@ def _geometry(mesh: Mesh):
     return area, grads, qpts
 
 
-def _eval_scalar(func, qpts, name):
-    nq = qpts.shape[0] * qpts.shape[1]
+def _eval(func, qpts, name, shape=()):
+    """``func`` at the quadrature points, ``shape`` per point; a constant broadcasts."""
+    nt, nq = qpts.shape[:2]
+    per_point = (nt * nq,) + shape
     vals = np.asarray(func(qpts[..., 0].ravel(), qpts[..., 1].ravel()), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(nq, float(vals))
-    elif vals.shape != (nq,):
+    if vals.shape not in (shape, per_point):
         raise AssemblyError(
-            "%s evaluation returned shape %r, expected scalar or (%d,)"
-            % (name, vals.shape, nq)
+            "%s evaluation returned shape %r, expected %r or %r"
+            % (name, vals.shape, shape, per_point)
         )
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0] // qpts.shape[1])
-        raise AssemblyError(
-            "non-finite %s coefficient in triangle %d" % (name, bad)
-        )
-    return vals.reshape(qpts.shape[0], qpts.shape[1])
+    vals = np.broadcast_to(vals, per_point).reshape((nt, nq) + shape)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = int(np.argwhere(~finite)[0, 0])
+        raise AssemblyError("non-finite %s coefficient in triangle %d" % (name, bad))
+    return vals
 
 
-def _eval_tensor(func, qpts):
-    vals = np.asarray(func(qpts[..., 0].ravel(), qpts[..., 1].ravel()), dtype=float)
-    n = qpts.shape[0] * qpts.shape[1]
-    if vals.shape == (2, 2):
-        vals = np.broadcast_to(vals, (n, 2, 2))
-    elif vals.shape != (n, 2, 2):
-        raise AssemblyError(
-            "diffusion tensor evaluation returned shape %r" % (vals.shape,)
-        )
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals).all(axis=(1, 2)))[0] // qpts.shape[1])
-        raise AssemblyError("non-finite diffusion coefficient in triangle %d" % bad)
-    return vals.reshape(qpts.shape[0], qpts.shape[1], 2, 2)
-
-
-def _scatter_plan(mesh: Mesh, dofmap: DofMap | None):
+def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
     """Lay out the CSR pattern from the mesh's edge table; return the scatter.
 
     A P1 pattern is the diagonal plus both directions of every edge, minus
@@ -168,10 +141,11 @@ def _scatter_plan(mesh: Mesh, dofmap: DofMap | None):
     triangle order, and writes every edge sum to both ``(i, j)`` and
     ``(j, i)``.
     """
-    dof_to_vertex = np.arange(mesh.n_vertices) if dofmap is None else dofmap.dof_to_vertex
-    n = dof_to_vertex.shape[0]
+    if dofmap is None:
+        dofmap = np.arange(mesh.n_vertices)
+    n = dofmap.shape[0]
     vertex_dof = np.full(mesh.n_vertices, -1, dtype=np.int32)
-    vertex_dof[dof_to_vertex] = np.arange(n)
+    vertex_dof[dofmap] = np.arange(n)
 
     lo, hi = vertex_dof[mesh.edges[:, 0]], vertex_dof[mesh.edges[:, 1]]
     kept = np.flatnonzero((lo >= 0) & (hi >= 0)).astype(np.int32)
@@ -209,7 +183,7 @@ def _scatter_plan(mesh: Mesh, dofmap: DofMap | None):
             mesh.triangles.ravel(), blocks[:, ::4].ravel(), minlength=mesh.n_vertices
         )
         data = np.empty(indices.shape[0])
-        data[diag] = vertex_sum[dof_to_vertex]
+        data[diag] = vertex_sum[dofmap]
         data[upper] = edge_sum
         data[lower] = edge_sum
         return sp.csr_array((data, indices.copy(), indptr.copy()), shape=(n, n))
@@ -224,19 +198,19 @@ def _midpoint_form(fw: np.ndarray) -> np.ndarray:
 
 def _stiffness_blocks(coeff, grads, qpts, weights):
     """Stiffness element blocks; constant gradients let the tensor's quadrature fold."""
-    tensor = _eval_tensor(coeff.a, qpts)
+    tensor = _eval(coeff.a, qpts, "diffusion", (2, 2))
     a_sum = tensor[:, 0] + tensor[:, 1] + tensor[:, 2]  # what sum(axis=1) adds, 3x faster
     del tensor  # lowers the peak: only the sum is contracted
     local = np.einsum("tia,tab,tjb->tij", grads, a_sum, grads, optimize=True)
     local *= weights[:, :, None]
-    phi_vals = _eval_scalar(coeff.phi, qpts, "reaction")
+    phi_vals = _eval(coeff.phi, qpts, "reaction")
     if np.any(phi_vals):
         local += _midpoint_form(phi_vals * weights)
     return local
 
 
 def assemble_pencil(
-    mesh: Mesh, dofmap: DofMap | None, coeff: CoefficientField
+    mesh: Mesh, dofmap: np.ndarray | None, coeff: CoefficientField
 ) -> tuple[sp.csr_array, sp.csr_array]:
     """Assemble the stiffness and mass matrices of ``coeff`` on ``mesh``.
 
@@ -252,15 +226,15 @@ def assemble_pencil(
     weights = (area / 3.0)[:, None]
     stiffness = scatter(_stiffness_blocks(coeff, grads, qpts, weights))
     del grads  # lowers the peak: the mass blocks do not need it
-    rho_vals = _eval_scalar(coeff.rho, qpts, "mass weight")
+    rho_vals = _eval(coeff.rho, qpts, "mass weight")
     return stiffness, scatter(_midpoint_form(rho_vals * weights))
 
 
-def interpolate(mesh: Mesh, dofmap: DofMap, f) -> np.ndarray:
+def interpolate(mesh: Mesh, dofmap: np.ndarray, f) -> np.ndarray:
     """Sample ``f(x, y)`` at interior vertices in dof order (boundary assumed 0)."""
-    xy = mesh.vertices[dofmap.dof_to_vertex]
+    xy = mesh.vertices.take(dofmap, axis=0)  # faster than fancy indexing
     vals = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float)
-    return np.broadcast_to(vals, (dofmap.n_dofs,)).copy()
+    return np.broadcast_to(vals, dofmap.shape).copy()
 
 
 def norm_a(matrix, v: np.ndarray) -> float:

@@ -180,7 +180,6 @@ def compute_errors(
     """
     level = approx.level
     q = approx.q
-    dofmap = ctx.dofmaps[level]
     stiffness = ctx.stiffness[level]
     mass = ctx.mass[level]
 
@@ -196,7 +195,7 @@ def compute_errors(
             fn = spec.exact_eigenfunctions[j]
             if fn is None or not spec.simple(j):
                 continue
-            target = interpolate(hierarchy.meshes[level], dofmap, fn)
+            target = interpolate(hierarchy.meshes[level], ctx.dofmaps[level], fn)
             vec = approx.vectors[:, j]
             if float(vec @ (mass @ target)) < 0.0:
                 vec = -vec
@@ -205,7 +204,7 @@ def compute_errors(
     return StudyRow(
         method=method,
         level=level,
-        n_dofs=dofmap.n_dofs,
+        n_dofs=ctx.n_dofs(level),
         lambdas=approx.eigenvalues.copy(),
         lambda_ref=None if reference is None else np.asarray(reference, dtype=float),
         abs_err=abs_err,

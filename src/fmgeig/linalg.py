@@ -2,10 +2,10 @@
 
 Sparse operators are scipy CSR arrays (sorted indices, numerically
 symmetric); vectors and dense matrices are plain ndarrays.  The module
-provides the conjugate gradient solver that doubles as the multigrid
-smoother, dense Cholesky solves, and the generalized symmetric eigensolver
-of the coarse and augmented Ritz problems, which delegates to LAPACK
-through :func:`scipy.linalg.eigh`.
+provides the multigrid smoother, a fixed number of column-wise conjugate
+gradient steps; the dense Cholesky factor of the coarsest stiffness; and
+the generalized symmetric eigensolver of the coarse and augmented Ritz
+problems, which delegates to LAPACK through :func:`scipy.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -18,33 +18,25 @@ from .errors import NotPositiveDefiniteError
 __all__ = [
     "cg_solve",
     "cholesky_dense",
-    "cho_solve",
     "generalized_eig_dense",
     "sign_fix",
 ]
 
 
 def cg_solve(
-    matrix,
-    b: np.ndarray,
-    x0: np.ndarray | None = None,
-    max_iters: int | None = None,
-    tol: float = 1e-10,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Conjugate gradients for symmetric positive definite systems.
+    matrix, b: np.ndarray, x0: np.ndarray, steps: int
+) -> tuple[np.ndarray, int]:
+    """Run ``steps`` conjugate gradient iterations on an SPD system from ``x0``.
 
-    ``b`` is a vector or an ``(n, q)`` block solved column-wise (not block
-    CG): each column iterates as if solved alone, until its residual drops
-    below ``tol`` times its initial residual ``|b - M x0|`` or ``max_iters``
-    is reached; with ``tol = 0`` exactly ``max_iters`` iterations run on
-    every nonzero column, which is how the multigrid smoother uses it.  The
-    energy-norm error of each column is non-increasing over iterations.
+    This is the multigrid smoother.  ``b`` is a vector or an ``(n, q)``
+    block iterated column-wise (not block CG): each column iterates as if
+    solved alone and stops early only when its residual is exactly zero.
+    The energy-norm error of each column is non-increasing over iterations.
 
     Returns
     -------
-    (x, iterations, residual)
-        Final iterate, the iteration count summed over columns and the
-        final residual 2-norm of each column.
+    (x, iterations)
+        Final iterate and the iteration count summed over columns.
 
     Raises
     ------
@@ -55,18 +47,15 @@ def cg_solve(
     n = b.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix/vector dimension mismatch")
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    if max_iters is None:
-        max_iters = 10 * n
+    x = np.array(x0, dtype=float)
 
     # Column dots by einsum: multithreaded BLAS-1 is slow on short columns.
     r = b - matrix @ x
     rr = np.einsum("i...,i...->...", r, r)
-    threshold = tol**2 * rr
     p = r.copy()
     iters = np.zeros(rr.shape, dtype=int)
-    for _ in range(max_iters):
-        live = rr > threshold
+    for _ in range(steps):
+        live = rr > 0.0
         if not live.any():
             break
         mp = matrix @ p
@@ -85,7 +74,7 @@ def cg_solve(
         p += r
         rr = rr_next
         iters += live
-    return x, int(iters.sum()), np.sqrt(rr)
+    return x, int(iters.sum())
 
 
 def cholesky_dense(matrix: np.ndarray) -> np.ndarray:
@@ -94,12 +83,6 @@ def cholesky_dense(matrix: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(np.asarray(matrix, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("dense Cholesky failed: %s" % exc) from None
-
-
-def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L L' x = b`` from a dense lower Cholesky factor."""
-    y = scipy.linalg.solve_triangular(lower, b, lower=True)
-    return scipy.linalg.solve_triangular(lower, y, lower=True, trans="T")
 
 
 def sign_fix(vectors: np.ndarray) -> np.ndarray:

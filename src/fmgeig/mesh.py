@@ -8,9 +8,9 @@ a boundary edge), never trusted from input files.
 Regular refinement splits each triangle into four congruent children by
 connecting the edge midpoints, halving the mesh size, and records the
 coarse-to-fine interpolation of piecewise-linear vertex coefficients as a
-sparse :data:`Prolongation` matrix.  :func:`build_hierarchy` chains
-refinements into a :class:`MeshHierarchy`, the nested sequence of spaces the
-multigrid solvers operate on.
+sparse prolongation matrix.  :func:`build_hierarchy` chains refinements
+into a :class:`MeshHierarchy`, the nested sequence of spaces the multigrid
+solvers operate on.
 """
 
 from __future__ import annotations
@@ -25,17 +25,12 @@ from .errors import MeshFormatError
 __all__ = [
     "Mesh",
     "MeshHierarchy",
-    "Prolongation",
     "unit_square_mesh",
     "load_mesh",
-    "save_mesh",
     "refine_regular",
     "build_hierarchy",
     "triangle_areas",
 ]
-
-#: Sparse coarse-to-fine interpolation matrix (one row per fine vertex).
-Prolongation = sp.csr_array
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
 #: Measured peak memory is about 1.22 KB per fine vertex (305-307 MiB at 263k
@@ -94,7 +89,7 @@ class MeshHierarchy:
     """
 
     meshes: list[Mesh]
-    prolongations: list[Prolongation]
+    prolongations: list[sp.csr_array]
 
     @property
     def n_levels(self) -> int:
@@ -244,15 +239,7 @@ def load_mesh(text: str) -> Mesh:
         raise MeshFormatError(str(exc)) from None
 
 
-def save_mesh(mesh: Mesh) -> str:
-    """Serialize a mesh to the node/element text format (17 significant digits)."""
-    lines = ["%d %d" % (mesh.n_vertices, mesh.n_triangles)]
-    lines.extend("%.17g %.17g" % (x, y) for x, y in mesh.vertices)
-    lines.extend("%d %d %d" % (i, j, k) for i, j, k in mesh.triangles)
-    return "\n".join(lines) + "\n"
-
-
-def refine_regular(mesh: Mesh) -> tuple[Mesh, Prolongation]:
+def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
     """Split every triangle into four congruent children via edge midpoints.
 
     Midpoint vertex ``V + e`` is created once for row ``e`` of
@@ -290,11 +277,6 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, Prolongation]:
     return fine, prolongation
 
 
-def _projected_refined_counts(nv: int, ne: int, nt: int) -> tuple[int, int, int]:
-    # One refinement: V' = V + E, E' = 2E + 3T, T' = 4T.
-    return nv + ne, 2 * ne + 3 * nt, 4 * nt
-
-
 def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
     """Refine ``coarse`` ``n_levels - 1`` times into a nested hierarchy.
 
@@ -308,7 +290,8 @@ def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
     nv, nt = coarse.n_vertices, coarse.n_triangles
     ne = coarse.edges.shape[0]
     for _ in range(n_levels - 1):
-        nv, ne, nt = _projected_refined_counts(nv, ne, nt)
+        # One refinement: V' = V + E, E' = 2E + 3T, T' = 4T.
+        nv, ne, nt = nv + ne, 2 * ne + 3 * nt, 4 * nt
         if nv > MAX_VERTICES:
             raise ValueError(
                 "projected fine vertex count %d exceeds cap %d" % (nv, MAX_VERTICES)

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .fem import CoefficientField, assemble_pencil, interior_dofmap
-from .linalg import cg_solve, cho_solve, cholesky_dense
+from .linalg import cg_solve, cholesky_dense
 from .mesh import MeshHierarchy
 
 __all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
@@ -49,7 +50,7 @@ class MGContext:
     mass: list
     transfer: list          # interior-restricted prolongation, level k -> k+1
     coarse_prolongation: list  # composed interior prolongation, level 0 -> k
-    dofmaps: list
+    dofmaps: list           # interior vertex ids of each level, increasing
     nu: int
     coarse_inverse: np.ndarray
     work_units: float = 0.0
@@ -86,26 +87,25 @@ def build_mg_context(
         raise ValueError("unknown smoother %r, only 'cg' is available" % (smoother,))
 
     dofmaps = [interior_dofmap(mesh) for mesh in hierarchy.meshes]
-    if dofmaps[0].n_dofs > MAX_COARSE_DOFS:
+    if len(dofmaps[0]) > MAX_COARSE_DOFS:
         raise ValueError(
             "coarse mesh has %d interior dofs, above the dense-solve cap %d"
-            % (dofmaps[0].n_dofs, MAX_COARSE_DOFS)
+            % (len(dofmaps[0]), MAX_COARSE_DOFS)
         )
     pencils = [assemble_pencil(m, dm, coeff) for m, dm in zip(hierarchy.meshes, dofmaps)]
     stiffness, mass = map(list, zip(*pencils))
-    transfer = []
-    for k, full in enumerate(hierarchy.prolongations):
-        fine = dofmaps[k + 1].dof_to_vertex
-        coarse = dofmaps[k].dof_to_vertex
-        transfer.append(full[fine][:, coarse])
+    transfer = [
+        full[dofmaps[k + 1]][:, dofmaps[k]]
+        for k, full in enumerate(hierarchy.prolongations)
+    ]
 
     # P_1 = T_0 as is and P_k = T_{k-1} @ P_{k-1}; level 0 is the coarse space.
-    coarse_prolongation = [sp.eye_array(dofmaps[0].n_dofs, format="csr")]
+    coarse_prolongation = [sp.eye_array(len(dofmaps[0]), format="csr")]
     for k, op in enumerate(transfer):
         coarse_prolongation.append(op @ coarse_prolongation[k] if k else op)
 
-    coarse = stiffness[0].toarray()
-    coarse_inverse = cho_solve(cholesky_dense(coarse), np.eye(coarse.shape[0]))
+    lower = cholesky_dense(stiffness[0].toarray())
+    coarse_inverse = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
     return MGContext(
         stiffness, mass, transfer, coarse_prolongation, dofmaps, nu, coarse_inverse
     )
@@ -113,7 +113,7 @@ def build_mg_context(
 
 def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndarray:
     matrix = ctx.stiffness[level]
-    x, iters, _ = cg_solve(matrix, f, x, max_iters=ctx.nu, tol=0.0)
+    x, iters = cg_solve(matrix, f, x, ctx.nu)
     ctx.work_units += iters * matrix.shape[0]
     return x
 

@@ -255,7 +255,7 @@ def test_criterion_09_invariant_suite(model_coeff):
         assert abs(b - b.T).max() == 0.0
         fg.cholesky_dense(b.toarray())
 
-    # Prolongation rows sum to one.
+    # The rows of every prolongation sum to one.
     hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
     for op in hier.prolongations:
         sums = np.asarray(op.sum(axis=1)).ravel()
@@ -338,7 +338,7 @@ def quadrature_mass_cross(mesh, dofmap, vec, func):
     corners = [mesh.vertices[tri[:, i]] for i in range(3)]
     area = fg.triangle_areas(mesh)
     coeffs = np.zeros(mesh.n_vertices)
-    coeffs[dofmap.dof_to_vertex] = vec
+    coeffs[dofmap] = vec
     nodal = coeffs[tri]
     total = 0.0
     for k in range(bary.shape[0]):

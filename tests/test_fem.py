@@ -49,6 +49,23 @@ def loop_pencil(mesh, coeff):
     return stiffness, mass
 
 
+# Field of CoefficientField -> (name in error messages, a constant value).
+COEFFICIENTS = {
+    "a": ("diffusion", np.array([[2.0, 0.5], [0.5, 1.0]])),
+    "phi": ("reaction", 3.0),
+    "rho": ("mass weight", 2.0),
+}
+
+
+def per_point(value):
+    """The constant ``value`` returned as one copy per evaluation point."""
+    return lambda x, y: np.broadcast_to(value, x.shape + np.shape(value)).copy()
+
+
+def with_coefficient(field, func):
+    return dataclasses.replace(fg.laplace_coefficients(), **{field: func})
+
+
 # square1 and square2 have interior edges whose endpoints both lie on the
 # boundary (the diagonal of square1, the corner diagonals of square2), which
 # elimination must drop.
@@ -69,7 +86,7 @@ class TestAssemblePencil:
         dofmap = fg.interior_dofmap(mesh) if interior else None
         expected = loop_pencil(mesh, coeff)
         if interior:
-            keep = np.ix_(dofmap.dof_to_vertex, dofmap.dof_to_vertex)
+            keep = np.ix_(dofmap, dofmap)
             expected = tuple(matrix[keep] for matrix in expected)
         stiffness, mass = fg.assemble_pencil(mesh, dofmap, coeff)
         for got, ref in zip((stiffness, mass), expected):
@@ -148,19 +165,41 @@ class TestStiffness:
         assert abs(a - a.T).max() == 0.0
         assert abs(b - b.T).max() == 0.0
 
-    def test_nonfinite_coefficient_names_triangle(self):
-        mesh = fg.unit_square_mesh(2)
+    @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
+    def test_nonfinite_coefficient_names_triangle(self, field):
+        # Only triangle 1, the lower one of grid cell (1, 0), has the
+        # boundary-edge midpoint (0.75, 0) as a quadrature point.
+        name, value = COEFFICIENTS[field]
 
-        def bad_phi(x, y):
-            out = np.zeros_like(x)
-            out[(x > 0.5) & (y < 0.5)] = np.nan
+        def poisoned(x, y):
+            out = per_point(value)(x, y)
+            out[(x == 0.75) & (y == 0.0)] = np.nan
             return out
 
-        coeff = fg.CoefficientField(
-            a=lambda x, y: np.eye(2), phi=bad_phi, rho=lambda x, y: 1.0
+        coeff = with_coefficient(field, poisoned)
+        message = "non-finite %s coefficient in triangle 1$" % name
+        with pytest.raises(AssemblyError, match=message):
+            fg.assemble_pencil(fg.unit_square_mesh(2), None, coeff)
+
+    @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
+    def test_wrong_shape_names_coefficient(self, field):
+        name, _ = COEFFICIENTS[field]
+        coeff = with_coefficient(field, lambda x, y: np.ones((x.shape[0], 3)))
+        with pytest.raises(AssemblyError, match="^%s evaluation returned shape" % name):
+            fg.assemble_pencil(fg.unit_square_mesh(2), None, coeff)
+
+    @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
+    def test_constant_matches_per_point_array(self, field):
+        mesh = fg.unit_square_mesh(3)
+        dofmap = fg.interior_dofmap(mesh)
+        _, value = COEFFICIENTS[field]
+        constant, array = (
+            fg.assemble_pencil(mesh, dofmap, with_coefficient(field, func))
+            for func in (lambda x, y: value, per_point(value))
         )
-        with pytest.raises(AssemblyError, match="triangle"):
-            fg.assemble_pencil(mesh, None, coeff)
+        for one, other in zip(constant, array):
+            assert np.array_equal(one.data, other.data)
+            assert np.array_equal(one.indices, other.indices)
 
 
 class TestMass:
@@ -217,7 +256,7 @@ class TestInterpolate:
         mesh = fg.unit_square_mesh(4)
         dofmap = fg.interior_dofmap(mesh)
         assert np.array_equal(
-            fg.interpolate(mesh, dofmap, lambda x, y: 0.0), np.zeros(dofmap.n_dofs)
+            fg.interpolate(mesh, dofmap, lambda x, y: 0.0), np.zeros(len(dofmap))
         )
 
     def test_center_vertex_value(self):
@@ -255,16 +294,14 @@ class TestNorms:
             fg.norm_a(matrix, np.ones(3))
 
 
-class TestDofMap:
+class TestInteriorDofmap:
     def test_counts(self):
         mesh = fg.unit_square_mesh(4)
         dofmap = fg.interior_dofmap(mesh)
-        assert dofmap.n_dofs == mesh.n_vertices - int(mesh.boundary_vertex.sum())
-        assert dofmap.n_dofs == 9
+        assert len(dofmap) == mesh.n_vertices - int(mesh.boundary_vertex.sum())
+        assert len(dofmap) == 9
 
     def test_bijection(self):
         mesh = fg.unit_square_mesh(3)
         dofmap = fg.interior_dofmap(mesh)
-        assert np.array_equal(
-            dofmap.dof_to_vertex, np.flatnonzero(~mesh.boundary_vertex)
-        )
+        assert np.array_equal(dofmap, np.flatnonzero(~mesh.boundary_vertex))

@@ -179,7 +179,12 @@ class TestCLI:
 
     def test_mesh_file_input(self, tmp_path):
         mesh_path = tmp_path / "coarse.mesh"
-        mesh_path.write_text(fg.save_mesh(fg.unit_square_mesh(2)))
+        # The unit square in 2 x 2 cells, each split along its rising diagonal.
+        lines = ["9 8"]
+        lines += ["%g %g" % (0.5 * i, 0.5 * j) for j in range(3) for i in range(3)]
+        for v in (0, 1, 3, 4):
+            lines += ["%d %d %d" % (v, v + 1, v + 4), "%d %d %d" % (v, v + 4, v + 3)]
+        mesh_path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "cli.csv"
         code = main([
             "run", "--problem", "model", "--mesh", str(mesh_path),

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 
 import fmgeig as fg
 from fmgeig.errors import NotPositiveDefiniteError
-from fmgeig.linalg import cho_solve, sign_fix
+from fmgeig.linalg import sign_fix
 
 
 def random_spd(n, rng):
@@ -13,10 +13,14 @@ def random_spd(n, rng):
     return m @ m.T + n * np.eye(n)
 
 
+def dense_solve(matrix, b):
+    return scipy.linalg.cho_solve((fg.cholesky_dense(matrix.toarray()), True), b)
+
+
 class TestCG:
     def test_identity_converges_in_one_iteration(self):
         b = np.array([1.0, -2.0, 3.0])
-        x, iters, _ = fg.cg_solve(sp.csr_array(sp.identity(3)), b)
+        x, iters = fg.cg_solve(sp.csr_array(sp.identity(3)), b, np.zeros(3), 5)
         assert iters == 1
         assert np.abs(x - b).max() < 1e-15
 
@@ -24,9 +28,8 @@ class TestCG:
         rng = np.random.default_rng(1)
         matrix = sp.csr_array(random_spd(6, rng))
         xstar = rng.standard_normal(6)
-        x, iters, res = fg.cg_solve(matrix, matrix @ xstar, x0=xstar, tol=1e-10)
+        x, iters = fg.cg_solve(matrix, matrix @ xstar, xstar, 5)
         assert iters == 0
-        assert res == 0.0
         assert np.array_equal(x, xstar)
 
     def test_matches_dense_cholesky(self, small_ctx):
@@ -34,17 +37,16 @@ class TestCG:
         matrix = small_ctx.stiffness[1]
         rng = np.random.default_rng(2)
         b = rng.standard_normal(matrix.shape[0])
-        x, _, _ = fg.cg_solve(matrix, b, tol=1e-12, max_iters=10000)
-        expected = cho_solve(fg.cholesky_dense(matrix.toarray()), b)
-        assert np.abs(x - expected).max() < 1e-9
+        x, _ = fg.cg_solve(matrix, b, np.zeros_like(b), 10 * matrix.shape[0])
+        assert np.abs(x - dense_solve(matrix, b)).max() < 1e-9
 
     def test_energy_error_monotone(self, small_ctx):
         matrix = small_ctx.stiffness[1]
         rng = np.random.default_rng(3)
         b = rng.standard_normal(matrix.shape[0])
-        xstar = cho_solve(fg.cholesky_dense(matrix.toarray()), b)
+        xstar = dense_solve(matrix, b)
         errors = [
-            fg.norm_a(matrix, fg.cg_solve(matrix, b, tol=0.0, max_iters=k)[0] - xstar)
+            fg.norm_a(matrix, fg.cg_solve(matrix, b, np.zeros_like(b), k)[0] - xstar)
             for k in range(1, 61)
         ]
         for prev, cur in zip(errors, errors[1:]):
@@ -53,13 +55,15 @@ class TestCG:
     def test_breakdown_on_indefinite(self):
         matrix = sp.csr_array(sp.diags([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
-            fg.cg_solve(matrix, np.array([0.0, 1.0]), tol=0.0, max_iters=5)
+            fg.cg_solve(matrix, np.array([0.0, 1.0]), np.zeros(2), 5)
 
     def test_fixed_iteration_mode(self, small_ctx):
         matrix = small_ctx.stiffness[1]
         b = np.ones(matrix.shape[0])
-        _, iters, _ = fg.cg_solve(matrix, b, tol=0.0, max_iters=3)
-        assert iters == 3
+        out = fg.cg_solve(matrix, b, np.zeros_like(b), 3)
+        # The benchmark's tracer reads the iteration count from out[1].
+        assert len(out) == 2 and type(out[1]) is int
+        assert out[1] == 3
 
     def test_block_matches_single_columns(self, small_ctx):
         # Columns: random, zero, exact initial guess, random.
@@ -71,23 +75,19 @@ class TestCG:
         b[:, 1] = 0.0
         x0[:, 2] = rng.standard_normal(n)
         b[:, 2] = matrix @ x0[:, 2]
-        x, iters, res = fg.cg_solve(matrix, b, x0, tol=1e-8, max_iters=1000)
-        singles = [
-            fg.cg_solve(matrix, b[:, j], x0[:, j], tol=1e-8, max_iters=1000)
-            for j in range(4)
-        ]
+        x, iters = fg.cg_solve(matrix, b, x0, 20)
+        singles = [fg.cg_solve(matrix, b[:, j], x0[:, j], 20) for j in range(4)]
         assert iters == sum(single[1] for single in singles)
-        assert [single[1] for single in singles][1:3] == [0, 0]
+        assert [single[1] for single in singles] == [20, 0, 0, 20]
         for j in (1, 2):
-            assert np.array_equal(x[:, j], x0[:, j]) and res[j] == 0.0
-        for j, (xj, _, rj) in enumerate(singles):
+            assert np.array_equal(x[:, j], x0[:, j])
+        for j, (xj, _) in enumerate(singles):
             assert np.abs(x[:, j] - xj).max() <= 1e-14 * max(np.abs(xj).max(), 1.0)
-            assert abs(res[j] - rj) <= 1e-14 * max(rj, 1.0)
 
     def test_block_breakdown_on_indefinite_column(self):
         matrix = sp.csr_array(sp.diags([1.0, -1.0]))
         with pytest.raises(NotPositiveDefiniteError):
-            fg.cg_solve(matrix, np.eye(2), tol=0.0, max_iters=5)
+            fg.cg_solve(matrix, np.eye(2), np.zeros((2, 2)), 5)
 
 
 class TestCholesky:

@@ -5,14 +5,6 @@ import fmgeig as fg
 from fmgeig.errors import MeshFormatError
 
 
-def canonical_form(mesh):
-    """Vertex-order independent representation: sorted coordinate triangles."""
-    tri_coords = mesh.vertices[mesh.triangles]
-    tri_coords = np.sort(tri_coords.reshape(-1, 6), axis=1)
-    order = np.lexsort(tri_coords.T)
-    return tri_coords[order]
-
-
 def edge_counts(mesh):
     raw = np.concatenate(
         [mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]], mesh.triangles[:, [2, 0]]]
@@ -123,18 +115,6 @@ class TestLoadMesh:
         text = "5 3\n0 0\n1 0\n0 1\n0 -1\n0.5 0.5\n0 1 2\n0 3 1\n0 1 4\n"
         with pytest.raises(MeshFormatError):
             fg.load_mesh(text)
-
-    def test_roundtrip_matches_generator(self):
-        original = fg.unit_square_mesh(2)
-        reloaded = fg.load_mesh(fg.save_mesh(original))
-        assert np.array_equal(canonical_form(original), canonical_form(reloaded))
-        assert int(reloaded.boundary_vertex.sum()) == 8
-
-    def test_roundtrip_preserves_coordinates_exactly(self):
-        mesh = fg.unit_square_mesh(3)
-        reloaded = fg.load_mesh(fg.save_mesh(mesh))
-        assert np.array_equal(mesh.vertices, reloaded.vertices)
-        assert np.array_equal(mesh.triangles, reloaded.triangles)
 
 
 class TestEdgeTable:
