@@ -43,7 +43,7 @@ from .harness import (
     model_problem,
     run_study,
 )
-from .linalg import cg_solve, cholesky_dense, generalized_eig_dense
+from .linalg import cholesky_dense, generalized_eig_dense
 from .mesh import (
     Mesh,
     MeshHierarchy,

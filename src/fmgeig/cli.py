@@ -71,7 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the direct baseline solver per level",
     )
-    run.add_argument("--direct-tol", type=float, default=1e-9)
+    run.add_argument(
+        "--direct-tol", type=float, default=1e-9,
+        help="direct baseline residual target; -1e-9 and the like need --direct-tol=VALUE",
+    )
     run.add_argument("--out", required=True, help="output CSV path")
     return parser
 

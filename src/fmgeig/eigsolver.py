@@ -81,8 +81,9 @@ class SolverConfig:
     q: number of eigenpairs tracked simultaneously.
     m: V-cycles per auxiliary boundary-value solve.
     p: correction steps per level.
-    nu: CG smoothing steps before and after the coarse correction of each
-        V-cycle.
+    nu: smoothing steps before and after the coarse correction of each
+        V-cycle: ``nu + 1`` products with A per smoothing (a Chebyshev
+        polynomial of degree ``nu + 1``).
 
     The scheme starts with a dense eigensolve on the coarsest level, whose
     space also augments every correction step.
@@ -92,7 +93,7 @@ class SolverConfig:
     m: int = 2
     p: int = 2
     nu: int = 2
-    smoother: ClassVar[str] = "cg"  # read by perfbench/workloads.py only
+    smoother: ClassVar[str] = "chebyshev"  # read by perfbench/workloads.py only
 
     def __post_init__(self):
         for name in ("q", "m", "p", "nu"):
@@ -258,6 +259,8 @@ def direct_fine_solve(
     :func:`scipy.sparse.linalg.lobpcg` iterates a block of ``q + 2``
     columns (Knyazev 2001); the guard columns beyond ``q`` keep clustered
     eigenvalues converging at the rate of the next spectral gap.  The
+    preconditioner, one V-cycle from a zero guess, is a fixed symmetric
+    positive definite operator, as LOBPCG's theory assumes.  The
     starting block comes from a fixed seed, so results are reproducible.
     The returned pairs satisfy ``|A u - lambda B u| <= tol * max|A|``, or
     :class:`ConvergenceError` is raised after ``DIRECT_ATTEMPTS`` calls.

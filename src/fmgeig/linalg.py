@@ -1,11 +1,10 @@
-"""Dense and sparse symmetric linear algebra kernels.
+"""Dense symmetric linear algebra kernels.
 
-Sparse operators are scipy CSR arrays (sorted indices, numerically
-symmetric); vectors and dense matrices are plain ndarrays.  The module
-provides the multigrid smoother, a fixed number of column-wise conjugate
-gradient steps; the dense Cholesky factor of the coarsest stiffness; and
-the generalized symmetric eigensolver of the coarse and augmented Ritz
-problems, which delegates to LAPACK through :func:`scipy.linalg.eigh`.
+Matrices are plain ndarrays.  The module provides the dense Cholesky
+factor of the coarsest stiffness and of mass Gram matrices, the column sign
+convention of eigenvector blocks, and the generalized symmetric eigensolver
+of the coarse and augmented Ritz problems, which delegates to LAPACK through
+:func:`scipy.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -15,66 +14,7 @@ import scipy.linalg
 
 from .errors import NotPositiveDefiniteError
 
-__all__ = [
-    "cg_solve",
-    "cholesky_dense",
-    "generalized_eig_dense",
-    "sign_fix",
-]
-
-
-def cg_solve(
-    matrix, b: np.ndarray, x0: np.ndarray, steps: int
-) -> tuple[np.ndarray, int]:
-    """Run ``steps`` conjugate gradient iterations on an SPD system from ``x0``.
-
-    This is the multigrid smoother.  ``b`` is a vector or an ``(n, q)``
-    block iterated column-wise (not block CG): each column iterates as if
-    solved alone and stops early only when its residual is exactly zero.
-    The energy-norm error of each column is non-increasing over iterations.
-
-    Returns
-    -------
-    (x, iterations)
-        Final iterate and the iteration count summed over columns.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        On breakdown ``p' M p <= 0`` in a column still iterating.
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("matrix/vector dimension mismatch")
-    x = np.array(x0, dtype=float)
-
-    # Column dots by einsum: multithreaded BLAS-1 is slow on short columns.
-    r = b - matrix @ x
-    rr = np.einsum("i...,i...->...", r, r)
-    p = r.copy()
-    iters = np.zeros(rr.shape, dtype=int)
-    for _ in range(steps):
-        live = rr > 0.0
-        if not live.any():
-            break
-        mp = matrix @ p
-        pmp = np.einsum("i...,i...->...", p, mp)
-        broken = live & (pmp <= 0.0)
-        if broken.any():
-            raise NotPositiveDefiniteError(
-                "conjugate gradient breakdown: p'Mp = %g" % pmp[broken].min()
-            )
-        alpha = np.divide(rr, pmp, out=np.zeros_like(rr), where=live)
-        x += alpha * p
-        mp *= alpha
-        r -= mp
-        rr_next = np.einsum("i...,i...->...", r, r)
-        p *= np.divide(rr_next, rr, out=np.zeros_like(rr), where=live)
-        p += r
-        rr = rr_next
-        iters += live
-    return x, int(iters.sum())
+__all__ = ["cholesky_dense", "generalized_eig_dense", "sign_fix"]
 
 
 def cholesky_dense(matrix: np.ndarray) -> np.ndarray:

@@ -58,8 +58,6 @@ class Mesh:
     triangle_edges : ndarray of int32, shape (nt, 3)
         Row of ``edges`` holding each triangle's local vertex pairs (0, 1),
         (1, 2) and (2, 0).
-    level : int
-        Refinement generation (0 for an initial mesh).
     """
 
     vertices: np.ndarray
@@ -67,7 +65,6 @@ class Mesh:
     boundary_vertex: np.ndarray
     edges: np.ndarray
     triangle_edges: np.ndarray
-    level: int = 0
 
     @property
     def n_vertices(self) -> int:
@@ -121,7 +118,7 @@ def _signed_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.nda
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
-def _build_mesh(vertices: np.ndarray, triangles: np.ndarray, level: int) -> Mesh:
+def _build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     """Validate connectivity, derive boundary flags and freeze the arrays."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     nv = vertices.shape[0]
@@ -141,7 +138,7 @@ def _build_mesh(vertices: np.ndarray, triangles: np.ndarray, level: int) -> Mesh
 
     for array in (vertices, triangles, boundary, edges, triangle_edges):
         array.setflags(write=False)
-    return Mesh(vertices, triangles, boundary, edges, triangle_edges, level)
+    return Mesh(vertices, triangles, boundary, edges, triangle_edges)
 
 
 def unit_square_mesh(nx: int) -> Mesh:
@@ -165,7 +162,7 @@ def unit_square_mesh(nx: int) -> Mesh:
     lower = np.column_stack([v00, v10, v11])
     upper = np.column_stack([v00, v11, v01])
     triangles = np.concatenate([lower, upper])
-    return _build_mesh(vertices, triangles, level=0)
+    return _build_mesh(vertices, triangles)
 
 
 def load_mesh(text: str) -> Mesh:
@@ -234,7 +231,7 @@ def load_mesh(text: str) -> Mesh:
             )
 
     try:
-        return _build_mesh(vertices, triangles, level=0)
+        return _build_mesh(vertices, triangles)
     except ValueError as exc:
         raise MeshFormatError(str(exc)) from None
 
@@ -266,7 +263,7 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
             np.column_stack([m01, m12, m20]),
         ]
     )
-    fine = _build_mesh(fine_vertices, children, level=mesh.level + 1)
+    fine = _build_mesh(fine_vertices, children)
 
     # Row i < V is the unit vector of vertex i; row V + e averages the
     # endpoints u < v of edge e, so every row's columns are already sorted.

@@ -223,17 +223,27 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
-    def test_bad_direct_tol_rejected_before_any_work(self, tmp_path, monkeypatch, tol):
+    @pytest.mark.parametrize(
+        "tol_args",
+        [["--direct-tol=" + tol] for tol in ("nan", "inf", "0", "-1e-9")]
+        + [["--direct-tol", "-1e-9"]],
+        ids=["nan", "inf", "0", "-1e-9", "-1e-9-after-space"],
+    )
+    def test_bad_direct_tol_rejected_before_any_work(self, tmp_path, monkeypatch, tol_args):
         def build(*args, **kwargs):
             raise AssertionError("hierarchy built before the tolerance check")
 
         monkeypatch.setattr("fmgeig.harness.build_hierarchy", build)
         out = tmp_path / "cli.csv"
-        code = main([
+        argv = [
             "run", "--problem", "general", "--mesh", "square:4", "--levels", "2",
-            "--direct-tol=" + tol, "--out", str(out),
-        ])
+            *tol_args, "--out", str(out),
+        ]
+        # argparse may read "-1e-9" after a space as an option and exit itself.
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
         assert code == 2
         assert not out.exists()
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 import fmgeig as fg
 from fmgeig.errors import NotPositiveDefiniteError
@@ -11,83 +10,6 @@ from fmgeig.linalg import sign_fix
 def random_spd(n, rng):
     m = rng.standard_normal((n, n))
     return m @ m.T + n * np.eye(n)
-
-
-def dense_solve(matrix, b):
-    return scipy.linalg.cho_solve((fg.cholesky_dense(matrix.toarray()), True), b)
-
-
-class TestCG:
-    def test_identity_converges_in_one_iteration(self):
-        b = np.array([1.0, -2.0, 3.0])
-        x, iters = fg.cg_solve(sp.csr_array(sp.identity(3)), b, np.zeros(3), 5)
-        assert iters == 1
-        assert np.abs(x - b).max() < 1e-15
-
-    def test_exact_initial_guess(self):
-        rng = np.random.default_rng(1)
-        matrix = sp.csr_array(random_spd(6, rng))
-        xstar = rng.standard_normal(6)
-        x, iters = fg.cg_solve(matrix, matrix @ xstar, xstar, 5)
-        assert iters == 0
-        assert np.array_equal(x, xstar)
-
-    def test_matches_dense_cholesky(self, small_ctx):
-        # Level-1 model stiffness (49 dofs) against the dense factorization.
-        matrix = small_ctx.stiffness[1]
-        rng = np.random.default_rng(2)
-        b = rng.standard_normal(matrix.shape[0])
-        x, _ = fg.cg_solve(matrix, b, np.zeros_like(b), 10 * matrix.shape[0])
-        assert np.abs(x - dense_solve(matrix, b)).max() < 1e-9
-
-    def test_energy_error_monotone(self, small_ctx):
-        matrix = small_ctx.stiffness[1]
-        rng = np.random.default_rng(3)
-        b = rng.standard_normal(matrix.shape[0])
-        xstar = dense_solve(matrix, b)
-        errors = [
-            fg.norm_a(matrix, fg.cg_solve(matrix, b, np.zeros_like(b), k)[0] - xstar)
-            for k in range(1, 61)
-        ]
-        for prev, cur in zip(errors, errors[1:]):
-            assert cur <= prev * (1.0 + 1e-10) + 1e-13 * errors[0]
-
-    def test_breakdown_on_indefinite(self):
-        matrix = sp.csr_array(sp.diags([1.0, -1.0]))
-        with pytest.raises(NotPositiveDefiniteError):
-            fg.cg_solve(matrix, np.array([0.0, 1.0]), np.zeros(2), 5)
-
-    def test_fixed_iteration_mode(self, small_ctx):
-        matrix = small_ctx.stiffness[1]
-        b = np.ones(matrix.shape[0])
-        out = fg.cg_solve(matrix, b, np.zeros_like(b), 3)
-        # The benchmark's tracer reads the iteration count from out[1].
-        assert len(out) == 2 and type(out[1]) is int
-        assert out[1] == 3
-
-    def test_block_matches_single_columns(self, small_ctx):
-        # Columns: random, zero, exact initial guess, random.
-        matrix = small_ctx.stiffness[1]
-        n = matrix.shape[0]
-        rng = np.random.default_rng(4)
-        b = rng.standard_normal((n, 4))
-        x0 = np.zeros((n, 4))
-        b[:, 1] = 0.0
-        x0[:, 2] = rng.standard_normal(n)
-        b[:, 2] = matrix @ x0[:, 2]
-        x, iters = fg.cg_solve(matrix, b, x0, 20)
-        singles = [fg.cg_solve(matrix, b[:, j], x0[:, j], 20) for j in range(4)]
-        assert iters == sum(single[1] for single in singles)
-        assert [single[1] for single in singles] == [20, 0, 0, 20]
-        for j in (1, 2):
-            assert np.array_equal(x[:, j], x0[:, j])
-        for j, (xj, _) in enumerate(singles):
-            assert np.abs(x[:, j] - xj).max() <= 1e-14 * max(np.abs(xj).max(), 1.0)
-
-    def test_block_breakdown_on_indefinite_column(self):
-        matrix = sp.csr_array(sp.diags([1.0, -1.0]))
-        with pytest.raises(NotPositiveDefiniteError):
-            fg.cg_solve(matrix, np.eye(2), np.zeros((2, 2)), 5)
 
 
 class TestCholesky:

@@ -250,4 +250,4 @@ class TestBuildHierarchy:
 
     def test_levels_recorded(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 3)
-        assert [m.level for m in hier.meshes] == [0, 1, 2]
+        assert [m.n_triangles for m in hier.meshes] == [8, 32, 128]

@@ -27,6 +27,20 @@ def measure_contraction(ctx, level, seed=0, cycles=1):
     return worst
 
 
+def zero_guess_cycle(ctx, columns):
+    """The finest-level map ``f -> v_cycle(f, 0)`` and two random inputs."""
+    level = ctx.n_levels - 1
+    shape = (ctx.n_dofs(level),) if columns is None else (ctx.n_dofs(level), columns)
+    f, g = np.random.default_rng(8).standard_normal((2,) + shape)
+    return lambda rhs: fg.v_cycle(ctx, level, rhs, np.zeros_like(rhs)), f, g
+
+
+@pytest.fixture(scope="module")
+def general_ctx():
+    hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
+    return fg.build_mg_context(hier, fg.general_problem().coefficients, nu=2)
+
+
 class TestBuildContext:
     def test_single_level_cycle_is_exact_solve(self, model_coeff):
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
@@ -83,9 +97,11 @@ class TestVCycle:
         out = fg.v_cycle(small_ctx, level, f, xstar)
         assert np.abs(out - xstar).max() <= 1e-12 * np.abs(xstar).max()
 
-    def test_contraction_bound(self, model_coeff):
+    @pytest.mark.parametrize("problem", ["model", "general"])
+    def test_contraction_bound(self, model_coeff, problem):
+        coeff = model_coeff if problem == "model" else fg.general_problem().coefficients
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
-        ctx = fg.build_mg_context(hier, model_coeff, nu=2)
+        ctx = fg.build_mg_context(hier, coeff, nu=2)
         theta = measure_contraction(ctx, ctx.n_levels - 1, cycles=3)
         assert theta <= 0.35
 
@@ -112,6 +128,20 @@ class TestVCycle:
             assert np.abs(block[:, j] - single).max() <= 1e-13 * np.abs(single).max()
         assert small_ctx.work_units - start == 2 * block_work
         assert np.array_equal(f, f_in) and np.array_equal(x, x_in)
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+    def test_cycle_from_zero_is_linear(self, general_ctx, columns):
+        cycle, f, g = zero_guess_cycle(general_ctx, columns)
+        combined = cycle(f + 2.0 * g)
+        defect = combined - cycle(f) - 2.0 * cycle(g)
+        assert np.abs(defect).max() <= 1e-12 * np.abs(combined).max()
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+    def test_cycle_from_zero_is_symmetric(self, general_ctx, columns):
+        cycle, f, g = zero_guess_cycle(general_ctx, columns)
+        forward = g.T @ cycle(f)
+        backward = (f.T @ cycle(g)).T
+        assert np.abs(forward - backward).max() <= 1e-12 * np.abs(forward).max()
 
     def test_level_out_of_range(self, small_ctx):
         zero = np.zeros(small_ctx.n_dofs(0))
@@ -182,9 +212,10 @@ class TestConcurrentSolves:
 
 
 class TestWorkCounter:
-    def test_cg_work_formula(self, small_hierarchy, model_coeff):
-        # One cycle at the top: 2*nu CG iterations on every level above the
-        # coarsest (no residual vanishes exactly for f = ones).
+    def test_smoothing_work_formula(self, small_hierarchy, model_coeff):
+        # One cycle at the top: two smoothings of nu counted products each
+        # (the initial residual is not counted) on every level above the
+        # coarsest.
         ctx = fg.build_mg_context(small_hierarchy, model_coeff, nu=2)
         level = ctx.n_levels - 1
         f = np.ones(ctx.n_dofs(level))
