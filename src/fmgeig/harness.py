@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigsolver import (
+    DIRECT_TOL_FLOOR,
     EigenApprox,
     SolverConfig,
     direct_fine_solve,
@@ -263,11 +264,15 @@ def run_study(
     problem has no exact eigenvalues, its two finest levels provide the
     Richardson-extrapolated reference for both methods.  Output is
     deterministic apart from the wall-clock column.  A ``direct_tol`` that
-    is not finite and positive is rejected before any work when the
-    baseline runs.
+    is not finite or lies below
+    :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` is rejected before any work
+    when the baseline runs.
     """
-    if compare_direct and not 0.0 < direct_tol < np.inf:
-        raise ValueError("direct_tol must be finite and positive, got %r" % (direct_tol,))
+    if compare_direct and not DIRECT_TOL_FLOOR <= direct_tol < np.inf:
+        raise ValueError(
+            "direct_tol must be finite and at least %g (the baseline's round-off"
+            " floor), got %r" % (DIRECT_TOL_FLOOR, direct_tol)
+        )
     hierarchy = build_hierarchy(coarse_mesh, n_levels)
     ctx = build_mg_context(hierarchy, spec.coefficients, config.nu)
 

@@ -6,9 +6,12 @@ the transpose, so coarse operators are the Galerkin products of fine ones on
 nested spaces with matching quadrature) and inverts the coarsest stiffness
 densely.  It also composes, once, the interior prolongation from the
 coarsest level to every level, which spans the coarse part of the augmented
-space of the eigenvalue correction step.  A V-cycle smooths, restricts the
-residual, recurses with an exact solve at the bottom, corrects and smooths
-again, on one vector or on all columns of an ``(n, q)`` block at once.
+space of the eigenvalue correction step, and forms that space's two dense
+Galerkin blocks ``P_k' A_k P_k`` and ``P_k' B_k P_k`` on every level, so a
+correction step does no sparse-by-sparse product.  A V-cycle smooths,
+restricts the residual, recurses with an exact solve at the bottom, corrects
+and smooths again, on one vector or on all columns of an ``(n, q)`` block at
+once.
 
 The smoother is a Chebyshev polynomial of degree ``nu + 1`` in ``D^{-1} A``
 on ``[lam/8, lam]`` (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188,
@@ -34,7 +37,9 @@ __all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
 
 #: Largest level-0 dof count :func:`build_mg_context` accepts.  Every
 #: correction step solves a dense pencil of ``n_0 + q`` rows: a q=6 ``eigh``
-#: took 0.71 s at 2025 dofs and 5.2 s at 3969 dofs on a 2-core host.
+#: took 0.71 s at 2025 dofs and 5.2 s at 3969 dofs on a 2-core host.  The
+#: context also holds two dense ``n_0 x n_0`` blocks per level, 64 MB per
+#: level at the cap.
 MAX_COARSE_DOFS = 2000
 
 
@@ -48,7 +53,11 @@ class MGContext:
     the Gershgorin bound ``max_i sum_j |a_ij| / a_ii`` of ``D_k^{-1} A_k``,
     the two things the Chebyshev smoother needs.  ``coarse_inverse`` is the
     dense inverse of the level-0 stiffness; unlike a triangular solve, its
-    product with a block is fast on threaded BLAS.
+    product with a block is fast on threaded BLAS.  ``coarse_stiffness[k]``
+    and ``coarse_mass[k]`` are the dense ``n_0 x n_0`` blocks
+    ``P_k' A_k P_k`` and ``P_k' B_k P_k`` with ``P_k =
+    coarse_prolongation[k]``: the pencil of the coarse part of the
+    augmented space, which depends only on the level.
     """
 
     stiffness: list
@@ -60,6 +69,8 @@ class MGContext:
     inv_diag: list
     lambda_max: list
     coarse_inverse: np.ndarray
+    coarse_stiffness: list  # dense P_k' A_k P_k of every level
+    coarse_mass: list       # dense P_k' B_k P_k of every level
     work_units: float = 0.0
 
     @property
@@ -110,6 +121,10 @@ def build_mg_context(
     coarse_prolongation = [sp.eye_array(len(dofmaps[0]), format="csr")]
     for k, op in enumerate(transfer):
         coarse_prolongation.append(op @ coarse_prolongation[k] if k else op)
+    coarse_stiffness, coarse_mass = (
+        [(p.T @ (m @ p)).toarray() for p, m in zip(coarse_prolongation, matrices)]
+        for matrices in (stiffness, mass)
+    )
 
     # Absolute row sums by reduceat: no stiffness row is empty (a_ii > 0).
     inv_diag = [1.0 / a.diagonal() for a in stiffness]
@@ -122,7 +137,7 @@ def build_mg_context(
     coarse_inverse = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
     return MGContext(
         stiffness, mass, transfer, coarse_prolongation, dofmaps, nu,
-        inv_diag, lambda_max, coarse_inverse,
+        inv_diag, lambda_max, coarse_inverse, coarse_stiffness, coarse_mass,
     )
 
 

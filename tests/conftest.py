@@ -21,6 +21,13 @@ def small_ctx(small_hierarchy, model_coeff):
 
 
 @pytest.fixture(scope="session")
+def general_ctx():
+    # The general problem on mesh(4) refined three times: 9 / 49 / 225 / 961 dofs.
+    hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
+    return fg.build_mg_context(hier, fg.general_problem().coefficients, nu=2)
+
+
+@pytest.fixture(scope="session")
 def dense_pairs(small_ctx):
     """Dense-oracle eigenpairs of every level of the small model hierarchy."""
     out = {}

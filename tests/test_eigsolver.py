@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import fmgeig as fg
-from fmgeig.eigsolver import EigenApprox, augmented_ritz
+from fmgeig import eigsolver
+from fmgeig.eigsolver import GRAM_DROP_TOL, EigenApprox, augmented_ritz
 from fmgeig.errors import DegenerateAugmentationError, SolverError
 from fmgeig.linalg import sign_fix
 
@@ -19,6 +26,49 @@ def aligned_energy_error(stiffness, mass, vec, ref):
     if float(vec @ (mass @ ref)) < 0.0:
         vec = -vec
     return fg.norm_a(stiffness, vec - ref)
+
+
+def reference_correction(ctx, approx, config):
+    """The correction step with explicit products ``A_k P`` and ``B_k P``.
+
+    The augmented pencil is built from the sparse matrices, the Ritz vectors
+    are lifted through the column slices of the kept basis vectors, and the
+    result is mass-orthonormalized by triangular solves on the whole block.
+    """
+    k = approx.level
+    a_k, b_k = ctx.stiffness[k], ctx.mass[k]
+    rhs = (b_k @ approx.vectors) * approx.eigenvalues
+    smoothed = fg.mg_solve(ctx, k, rhs, approx.vectors, config.m)
+    prolong = ctx.coarse_prolongation[k]
+    n_h = prolong.shape[1]
+    pencil = []
+    for matrix in (a_k, b_k):
+        mp = matrix @ prolong
+        cross = mp.T @ smoothed
+        full = np.block([
+            [(prolong.T @ mp).toarray(), cross],
+            [cross.T, smoothed.T @ (matrix @ smoothed)],
+        ])
+        pencil.append(0.5 * (full + full.T))
+    vals, ritz, kept = augmented_ritz(*pencil, approx.q, GRAM_DROP_TOL)
+    kept_coarse = kept[kept < n_h]
+    split = kept_coarse.shape[0]
+    vectors = prolong[:, kept_coarse] @ ritz[:split]
+    vectors += smoothed[:, kept[split:] - n_h] @ ritz[split:]
+    for _ in range(2):
+        lower = np.linalg.cholesky(vectors.T @ (b_k @ vectors))
+        vectors = scipy.linalg.solve_triangular(lower, vectors.T, lower=True).T
+    return vals, sign_fix(vectors)
+
+
+def lifted_coarse_pairs(ctx, q, level):
+    """Coarse eigenpairs prolongated to ``level`` and mass-orthonormalized."""
+    coarse = fg.coarse_eigensolve(ctx, q)
+    vectors = coarse.vectors
+    for op in ctx.transfer[:level]:
+        vectors = op @ vectors
+    vectors = sign_fix(fg.b_orthonormalize(ctx.mass[level], vectors))
+    return EigenApprox(level, coarse.eigenvalues.copy(), vectors)
 
 
 class TestConfig:
@@ -53,6 +103,16 @@ class TestBOrthonormalize:
         block[:, 3] = block[:, 2] + 1e-6 * rng.standard_normal(mass.shape[0])
         out = fg.b_orthonormalize(mass, block)
         assert b_orthonormality_drift(mass, out) <= 1e-12
+
+    @pytest.mark.parametrize("q", [1, 6])
+    def test_result_is_the_mass_qr_factor(self, small_ctx, q):
+        # Q'BV upper triangular with a positive diagonal makes Q the unique
+        # B-QR factor of V.
+        mass = small_ctx.mass[2]
+        block = np.random.default_rng(5).standard_normal((mass.shape[0], q))
+        factor = fg.b_orthonormalize(mass, block).T @ (mass @ block)
+        assert np.all(np.diag(factor) > 0.0)
+        assert np.abs(np.tril(factor, -1)).max(initial=0.0) <= 1e-13 * np.abs(factor).max()
 
     @pytest.mark.parametrize("bad", [0.0, np.nan])
     def test_zero_or_nan_column_raises(self, small_ctx, bad):
@@ -169,6 +229,51 @@ class TestOneCorrectionStep:
             fg.one_correction_step(small_ctx, approx, fg.SolverConfig(q=3))
 
 
+class TestCorrectionStepReference:
+    @staticmethod
+    def assert_matches_reference(ctx, approx, config):
+        ref_vals, ref_vecs = reference_correction(ctx, approx, config)
+        out = fg.one_correction_step(ctx, approx, config)
+        assert np.abs(out.eigenvalues - ref_vals).max() <= 1e-12 * np.abs(ref_vals).max()
+        # On these symmetric meshes a column's largest magnitude is often
+        # attained twice with opposite signs, so sign_fix follows round-off;
+        # align each column with the reference before comparing.
+        mass = ctx.mass[approx.level]
+        signs = np.sign(np.sum(out.vectors * (mass @ ref_vecs), axis=0))
+        assert np.abs(out.vectors * signs - ref_vecs).max() <= 1e-10 * np.abs(ref_vecs).max()
+
+    def test_model_q3(self, small_ctx):
+        approx = lifted_coarse_pairs(small_ctx, 3, level=2)
+        self.assert_matches_reference(small_ctx, approx, fg.SolverConfig(q=3))
+
+    def test_general_q6(self, general_ctx):
+        approx = lifted_coarse_pairs(general_ctx, 6, level=2)
+        self.assert_matches_reference(general_ctx, approx, fg.SolverConfig(q=6))
+
+    def test_exact_pairs_with_dropped_column(self, small_ctx, dense_pairs, monkeypatch):
+        # Exact pairs are a fixed point; with the first given twice, its
+        # smoothed copies coincide, so the augmented basis loses a column
+        # ahead of a kept one and the Ritz vectors are lifted with a zero
+        # weight in its place.
+        kept = []
+
+        def recording_ritz(a_aug, b_aug, q, drop_tol):
+            out = augmented_ritz(a_aug, b_aug, q, drop_tol)
+            kept.append(out[2])
+            return out
+
+        level = 1
+        vals, vecs = dense_pairs[level]
+        approx = EigenApprox(level, vals[[0, 0, 1]], vecs[:, [0, 0, 1]])
+        config = fg.SolverConfig(q=3)
+        monkeypatch.setattr(eigsolver, "augmented_ritz", recording_ritz)
+        self.assert_matches_reference(small_ctx, approx, config)
+        n_aug = small_ctx.n_dofs(0) + 3
+        assert kept[-1].shape[0] == n_aug - 1 and kept[-1][-1] == n_aug - 1
+        out = fg.one_correction_step(small_ctx, approx, config)
+        assert np.abs(out.eigenvalues[[0, 1]] - vals[[0, 1]]).max() <= 1e-12 * vals[1]
+
+
 class TestAugmentedRitz:
     def test_duplicate_column_dropped_result_unchanged(self):
         rng = np.random.default_rng(2)
@@ -244,6 +349,31 @@ class TestFullMultigrid:
         config = fg.SolverConfig(q=4, m=2, p=2, nu=2)
         out = fg.full_multigrid(small_hierarchy, model_coeff, config, ctx=small_ctx)
         assert b_orthonormality_drift(small_ctx.mass[out.level], out.vectors) <= 1e-10
+
+
+class TestThreadDeterminism:
+    SCRIPT = """
+import json
+import fmgeig as fg
+hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
+spec = fg.general_problem()
+out = fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=6))
+print(json.dumps(out.eigenvalues.tolist()))
+"""
+
+    def test_one_blas_thread_matches_in_process_run(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fg.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        single = np.array(json.loads(result.stdout))
+        hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
+        spec = fg.general_problem()
+        here = fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=6)).eigenvalues
+        assert np.abs(single - here).max() <= 1e-12 * np.abs(here).max()
 
 
 L_SHAPE_FILE = """8 6

@@ -225,9 +225,9 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "tol_args",
-        [["--direct-tol=" + tol] for tol in ("nan", "inf", "0", "-1e-9")]
+        [["--direct-tol=" + tol] for tol in ("nan", "inf", "0", "-1e-9", "1e-14")]
         + [["--direct-tol", "-1e-9"]],
-        ids=["nan", "inf", "0", "-1e-9", "-1e-9-after-space"],
+        ids=["nan", "inf", "0", "-1e-9", "1e-14", "-1e-9-after-space"],
     )
     def test_bad_direct_tol_rejected_before_any_work(self, tmp_path, monkeypatch, tol_args):
         def build(*args, **kwargs):

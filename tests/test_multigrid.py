@@ -35,12 +35,6 @@ def zero_guess_cycle(ctx, columns):
     return lambda rhs: fg.v_cycle(ctx, level, rhs, np.zeros_like(rhs)), f, g
 
 
-@pytest.fixture(scope="module")
-def general_ctx():
-    hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
-    return fg.build_mg_context(hier, fg.general_problem().coefficients, nu=2)
-
-
 class TestBuildContext:
     def test_single_level_cycle_is_exact_solve(self, model_coeff):
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
@@ -75,6 +69,29 @@ class TestBuildContext:
             if k < len(small_ctx.transfer):
                 fold = small_ctx.transfer[k] @ fold
         assert len(small_ctx.coarse_prolongation) == small_ctx.n_levels
+
+    @pytest.mark.parametrize("problem", ["model", "general"])
+    def test_coarse_blocks_are_galerkin_products(self, small_ctx, general_ctx, problem):
+        ctx = small_ctx if problem == "model" else general_ctx
+        for k, prolong in enumerate(ctx.coarse_prolongation):
+            dense = prolong.toarray()
+            for block, matrix in [
+                (ctx.coarse_stiffness[k], ctx.stiffness[k]),
+                (ctx.coarse_mass[k], ctx.mass[k]),
+            ]:
+                reference = dense.T @ (matrix @ dense)
+                scale = np.abs(reference).max()
+                assert np.abs(block - reference).max() <= 1e-13 * scale
+                assert np.abs(block - block.T).max() <= 1e-13 * scale
+        assert np.array_equal(ctx.coarse_stiffness[0], ctx.stiffness[0].toarray())
+        assert np.array_equal(ctx.coarse_mass[0], ctx.mass[0].toarray())
+
+    def test_model_coarse_stiffness_blocks_equal_coarse_assembly(self, small_ctx):
+        # Constant coefficients: P_k' A_k P_k is A_0 on every level.
+        coarse = small_ctx.stiffness[0].toarray()
+        bound = 1e-10 * np.abs(coarse).max()
+        for block in small_ctx.coarse_stiffness:
+            assert np.abs(block - coarse).max() <= bound
 
     def test_invalid_nu(self, small_hierarchy, model_coeff):
         with pytest.raises(ValueError):
