@@ -14,9 +14,11 @@ dominated by the V-cycles, so the full sweep over levels is linear in the
 finest dof count.
 
 All operations keep the eigenvector blocks orthonormal in the mass inner
-product and return eigenvalues in ascending order with a deterministic sign
-convention.  :func:`direct_fine_solve` provides an independent baseline:
-LOBPCG on the fine-level pencil with one block V-cycle as preconditioner.
+product and return eigenvalues in ascending order.  In each vector the first
+entry within a relative 1e-8 of the largest magnitude is positive, a sign
+convention that entries tied up to round-off cannot flip.
+:func:`direct_fine_solve` provides an independent baseline: LOBPCG on the
+fine-level pencil with one block V-cycle as preconditioner.
 """
 
 from __future__ import annotations

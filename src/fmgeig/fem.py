@@ -14,12 +14,13 @@ exact for every constant-coefficient term with P1 bases and accurate enough
 to preserve second-order eigenvalue convergence for smooth coefficients.
 P1 gradients are constant per triangle, so the stiffness term sums the
 tensor over the three points and contracts once (folded quadrature).  Both
-forms share one scatter plan per mesh, laid out from the mesh's edge table
-with elimination folded in (edges with a boundary endpoint are dropped).
+forms share one scatter plan per mesh: scipy lays out the CSR pattern of
+the mesh's edges without a boundary endpoint (elimination folded in), in
+any edge order, and records where each entry's value comes from.
 Symmetrized element entries are summed per edge and per vertex with
-``np.bincount`` in triangle order, and each edge sum is written to both of
-its entries, so the matrices are exactly symmetric by construction and
-runs are bit reproducible.
+``np.bincount`` in triangle order and gathered into both entries of each
+edge, so the matrices are exactly symmetric by construction and runs are
+bit reproducible.
 """
 
 from __future__ import annotations
@@ -132,14 +133,11 @@ def _eval(func, qpts, name, shape=()):
 def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
     """Lay out the CSR pattern from the mesh's edge table; return the scatter.
 
-    A P1 pattern is the diagonal plus both directions of every edge, minus
-    the edges with an eliminated endpoint.  Dofs increase with vertex
-    numbers, so an edge ``u < v`` has dofs ``lo < hi`` and row ``i`` holds
-    its lower neighbours, then ``i``, then its upper neighbours, each part
-    in ascending order.  The scatter sums each edge's symmetrized element
-    entries and each vertex's diagonal entries with ``np.bincount`` in
-    triangle order, and writes every edge sum to both ``(i, j)`` and
-    ``(j, i)``.
+    The pattern is the diagonal plus both directions of every edge without
+    an eliminated endpoint.  scipy puts it in canonical form (sorted rows,
+    no duplicates) whatever the edge order.  Each stored value is the
+    entry's source: kept edge ``e`` for ``(lo, hi)`` and ``(hi, lo)``, and
+    ``m + i`` for the diagonal of dof ``i``, with ``m`` kept edges.
     """
     if dofmap is None:
         dofmap = np.arange(mesh.n_vertices)
@@ -148,27 +146,12 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
     vertex_dof[dofmap] = np.arange(n)
 
     lo, hi = vertex_dof[mesh.edges[:, 0]], vertex_dof[mesh.edges[:, 1]]
-    kept = np.flatnonzero((lo >= 0) & (hi >= 0)).astype(np.int32)
+    kept = np.flatnonzero((lo >= 0) & (hi >= 0))
     lo, hi = lo[kept], hi[kept]
-    n_lower = np.bincount(hi, minlength=n)
-    n_upper = np.bincount(lo, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(n_lower + 1 + n_upper)])
-    diag = indptr[:-1] + n_lower
-    # Kept edges come sorted by lo, so row r's upper part is the run of them
-    # starting at first_upper[r]; a stable sort by hi orders them by
-    # (hi, lo), and row r's lower part is the run starting at first_lower[r].
-    rank = np.arange(kept.shape[0])
-    first_upper = np.cumsum(n_upper) - n_upper
-    first_lower = np.cumsum(n_lower) - n_lower
-    upper = rank + (diag + 1 - first_upper)[lo]
-    by_hi = np.argsort(hi, kind="stable")
-    lower = np.empty_like(upper)
-    lower[by_hi] = rank + (indptr[:-1] - first_lower)[hi[by_hi]]
-    indptr, diag, upper, lower = (a.astype(np.int32) for a in (indptr, diag, upper, lower))
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[diag] = np.arange(n)
-    indices[upper] = hi
-    indices[lower] = lo
+    edge, dofs = np.arange(len(kept), dtype=np.int32), np.arange(n, dtype=np.int32)
+    source = np.concatenate([edge, edge, len(kept) + dofs])
+    rows, cols = np.concatenate([lo, hi, dofs]), np.concatenate([hi, lo, dofs])
+    pattern = sp.csr_array((source, (rows, cols)), shape=(n, n))
 
     def scatter(local: np.ndarray) -> sp.csr_array:
         blocks = local.reshape(-1, 9)  # entry (i, j) in column 3 i + j
@@ -182,11 +165,10 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
         vertex_sum = np.bincount(
             mesh.triangles.ravel(), blocks[:, ::4].ravel(), minlength=mesh.n_vertices
         )
-        data = np.empty(indices.shape[0])
-        data[diag] = vertex_sum[dofmap]
-        data[upper] = edge_sum
-        data[lower] = edge_sum
-        return sp.csr_array((data, indices.copy(), indptr.copy()), shape=(n, n))
+        data = np.concatenate([edge_sum, vertex_sum[dofmap]])[pattern.data]
+        return sp.csr_array(
+            (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n)
+        )
 
     return scatter
 

@@ -26,8 +26,14 @@ def cholesky_dense(matrix: np.ndarray) -> np.ndarray:
 
 
 def sign_fix(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so each largest-magnitude entry is positive (in place)."""
-    lead = np.argmax(np.abs(vectors), axis=0)
+    """Flip column signs so each column's leading entry is positive (in place).
+
+    The leading entry is the first within a relative 1e-8 of the column's
+    largest magnitude, so entries that tie up to round-off (mirror-symmetric
+    meshes give them) cannot make the sign follow the summation order.
+    """
+    size = np.abs(vectors)
+    lead = np.argmax(size >= (1.0 - 1e-8) * size.max(axis=0, initial=0.0), axis=0)
     vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return vectors
 
@@ -39,8 +45,8 @@ def generalized_eig_dense(
 
     Solved by LAPACK (:func:`scipy.linalg.eigh` restricted to the lowest
     ``q`` indices), so the returned vectors are B-orthonormal.  Eigenvalues
-    come out ascending; ties keep LAPACK's output order.  Each vector is
-    scaled so its largest-magnitude entry is positive.
+    come out ascending; ties keep LAPACK's output order.  Each vector's sign
+    follows :func:`sign_fix`.
 
     Raises
     ------

@@ -126,10 +126,9 @@ def build_mg_context(
         for matrices in (stiffness, mass)
     )
 
-    # Absolute row sums by reduceat: no stiffness row is empty (a_ii > 0).
     inv_diag = [1.0 / a.diagonal() for a in stiffness]
     lambda_max = [
-        float((np.add.reduceat(np.abs(a.data), a.indptr[:-1]) * d).max(initial=0.0))
+        float((abs(a).sum(axis=1) * d).max(initial=0.0))
         for a, d in zip(stiffness, inv_diag)
     ]
 

@@ -39,6 +39,12 @@ def dense_pairs(small_ctx):
     return out
 
 
+def leading_entry(column):
+    """Row of the sign convention: the first within 1e-8 of the largest magnitude."""
+    top = max(abs(value) for value in column)
+    return next(i for i, value in enumerate(column) if abs(value) >= top - 1e-8 * top)
+
+
 def first_eigenfunction(x, y):
     return 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
 

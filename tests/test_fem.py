@@ -157,6 +157,26 @@ class TestStiffness:
             assert np.array_equal(one.indices, other.indices)
             assert np.array_equal(one.indptr, other.indptr)
 
+    def test_assembly_independent_of_edge_order(self):
+        # The same edges in another order, with triangle_edges renumbered.
+        mesh = perturbed_square_mesh(4)
+        perm = np.random.default_rng(3).permutation(mesh.edges.shape[0])
+        new_id = np.empty_like(perm)
+        new_id[perm] = np.arange(perm.shape[0])
+        shuffled = dataclasses.replace(
+            mesh,
+            edges=mesh.edges[perm],
+            triangle_edges=new_id[mesh.triangle_edges].astype(np.int32),
+        )
+        coeff = fg.general_problem().coefficients
+        dofmap = fg.interior_dofmap(mesh)
+        first = fg.assemble_pencil(mesh, dofmap, coeff)
+        second = fg.assemble_pencil(shuffled, dofmap, coeff)
+        for one, other in zip(first, second):
+            assert np.array_equal(one.indptr, other.indptr)
+            assert np.array_equal(one.indices, other.indices)
+            assert one.data.tobytes() == other.data.tobytes()
+
     def test_exact_symmetry_variable_coefficients(self):
         spec = fg.general_problem()
         mesh = fg.unit_square_mesh(6)

@@ -6,6 +6,8 @@ import fmgeig as fg
 from fmgeig.errors import NotPositiveDefiniteError
 from fmgeig.linalg import sign_fix
 
+from conftest import leading_entry
+
 
 def random_spd(n, rng):
     m = rng.standard_normal((n, n))
@@ -81,24 +83,30 @@ class TestGeneralizedEig:
 
     def test_sign_fix_matches_column_loop(self):
         # Ties pick the first maximum; zeros keep the sign negation gives them.
-        vectors = np.array([[-2.0, 2.0, -0.0], [2.0, -2.0, 1.0], [-0.0, -0.0, -3.0]])
+        # The last two columns hold -0.5 ahead of a 0.5 one ulp above or
+        # below it: the -0.5 leads either way, so round-off cannot flip them.
+        above, below = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        vectors = np.array([
+            [-2.0, 2.0, -0.0, -0.5, -0.5],
+            [2.0, -2.0, 1.0, 0.1, 0.1],
+            [-0.0, -0.0, -3.0, above, below],
+        ])
         expected = vectors.copy()
-        for j in range(3):
-            lead = np.argmax(np.abs(expected[:, j]))
-            if expected[lead, j] < 0.0:
-                expected[:, j] = -expected[:, j]
+        for column in expected.T:
+            if column[leading_entry(column)] < 0.0:
+                column *= -1.0
         out = sign_fix(vectors)
         assert out is vectors
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
+        assert np.array_equal(out[0, 3:], [0.5, 0.5])
 
     def test_sign_convention(self):
         rng = np.random.default_rng(16)
         a = random_spd(8, rng)
         _, vecs = fg.generalized_eig_dense(a, np.eye(8), 4)
-        for j in range(4):
-            lead = np.argmax(np.abs(vecs[:, j]))
-            assert vecs[lead, j] > 0.0
+        for column in vecs.T:
+            assert column[leading_entry(column)] > 0.0
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,17 @@ def zero_guess_cycle(ctx, columns):
 
 
 class TestBuildContext:
+    @pytest.mark.parametrize("ctx_name", ["small_ctx", "general_ctx"])
+    def test_smoother_data_matches_dense(self, ctx_name, request):
+        # The Chebyshev smoother's D^{-1} and Gershgorin bound of D^{-1} A.
+        ctx = request.getfixturevalue(ctx_name)
+        for level in range(ctx.n_levels):
+            dense = ctx.stiffness[level].toarray()
+            diag = np.diag(dense)
+            assert np.array_equal(ctx.inv_diag[level], 1.0 / diag)
+            bound = (np.abs(dense).sum(axis=1) / diag).max()
+            assert abs(ctx.lambda_max[level] - bound) <= 1e-14 * bound
+
     def test_single_level_cycle_is_exact_solve(self, model_coeff):
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
