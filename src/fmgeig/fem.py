@@ -13,14 +13,16 @@ Quadrature is the 3-point edge-midpoint rule, exact for quadratics, hence
 exact for every constant-coefficient term with P1 bases and accurate enough
 to preserve second-order eigenvalue convergence for smooth coefficients.
 P1 gradients are constant per triangle, so the stiffness term sums the
-tensor over the three points and contracts once (folded quadrature).  Both
-forms share one scatter plan per mesh: scipy lays out the CSR pattern of
-the mesh's edges without a boundary endpoint (elimination folded in), in
-any edge order, and records where each entry's value comes from.
-Symmetrized element entries are summed per edge and per vertex with
-``np.bincount`` in triangle order and gathered into both entries of each
-edge, so the matrices are exactly symmetric by construction and runs are
-bit reproducible.
+tensor over the three points and contracts once (folded quadrature).  Each
+form then takes six numbers per triangle, computed in closed form from
+contiguous rows of corner coordinates: the couplings of its three local
+vertex pairs and its three corner (diagonal) entries.  Both forms share one
+scatter plan per mesh: scipy lays out the CSR pattern of the mesh's edges
+without a boundary endpoint (elimination folded in), in any edge order, and
+records where each entry's value comes from.  Couplings are summed per edge
+and corner entries per vertex with ``np.bincount``, in a fixed order, and
+gathered into both entries of each edge, so the matrices are exactly
+symmetric by construction and runs are bit reproducible.
 """
 
 from __future__ import annotations
@@ -45,15 +47,6 @@ __all__ = [
 
 # Local vertex pairs of a triangle's edges, in the order of Mesh.triangle_edges.
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
-
-# Hat function values at the edge midpoints (m01, m12, m20) of a triangle.
-_MIDPOINT_BASIS = np.array(
-    [
-        [0.5, 0.0, 0.5],
-        [0.5, 0.5, 0.0],
-        [0.0, 0.5, 0.5],
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -87,50 +80,28 @@ def interior_dofmap(mesh: Mesh) -> np.ndarray:
     return np.flatnonzero(~mesh.boundary_vertex)
 
 
-def _geometry(mesh: Mesh):
-    """Per-triangle areas, constant basis gradients and midpoint quadrature points."""
-    corners = mesh.vertices.take(mesh.triangles, axis=0)
-    v0, v1, v2 = corners[:, 0], corners[:, 1], corners[:, 2]
-    det = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) - (v1[:, 1] - v0[:, 1]) * (
-        v2[:, 0] - v0[:, 0]
-    )
-    area = 0.5 * det
+def _eval(func, qx, qy, name, shape=()):
+    """``func`` at the quadrature points, ``shape`` per point; a constant broadcasts.
 
-    grads = np.empty_like(corners)
-    grads[:, 0, 0] = v1[:, 1] - v2[:, 1]
-    grads[:, 0, 1] = v2[:, 0] - v1[:, 0]
-    grads[:, 1, 0] = v2[:, 1] - v0[:, 1]
-    grads[:, 1, 1] = v0[:, 0] - v2[:, 0]
-    grads[:, 2, 0] = v0[:, 1] - v1[:, 1]
-    grads[:, 2, 1] = v1[:, 0] - v0[:, 0]
-    grads /= det[:, None, None]
-
-    # Midpoints m01, m12, m20: each corner plus the next.
-    qpts = np.roll(corners, -1, axis=1)
-    qpts += corners
-    qpts *= 0.5
-    return area, grads, qpts
-
-
-def _eval(func, qpts, name, shape=()):
-    """``func`` at the quadrature points, ``shape`` per point; a constant broadcasts."""
-    nt, nq = qpts.shape[:2]
-    per_point = (nt * nq,) + shape
-    vals = np.asarray(func(qpts[..., 0].ravel(), qpts[..., 1].ravel()), dtype=float)
+    ``qx`` and ``qy`` hold one row of point coordinates per midpoint and
+    one column per triangle.
+    """
+    per_point = (qx.size,) + shape
+    vals = np.asarray(func(qx.ravel(), qy.ravel()), dtype=float)
     if vals.shape not in (shape, per_point):
         raise AssemblyError(
             "%s evaluation returned shape %r, expected %r or %r"
             % (name, vals.shape, shape, per_point)
         )
-    vals = np.broadcast_to(vals, per_point).reshape((nt, nq) + shape)
-    finite = np.isfinite(vals)
+    finite = np.isfinite(vals)  # checked before broadcasting a constant
     if not finite.all():
-        bad = int(np.argwhere(~finite)[0, 0])
+        finite = np.broadcast_to(finite, per_point).reshape(qx.shape + shape)
+        bad = int(np.nonzero(~finite)[1].min())
         raise AssemblyError("non-finite %s coefficient in triangle %d" % (name, bad))
-    return vals
+    return np.broadcast_to(vals, per_point).reshape(qx.shape + shape)
 
 
-def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
+def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None, corners: np.ndarray):
     """Lay out the CSR pattern from the mesh's edge table; return the scatter.
 
     The pattern is the diagonal plus both directions of every edge without
@@ -153,19 +124,15 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
     rows, cols = np.concatenate([lo, hi, dofs]), np.concatenate([hi, lo, dofs])
     pattern = sp.csr_array((source, (rows, cols)), shape=(n, n))
 
-    def scatter(local: np.ndarray) -> sp.csr_array:
-        blocks = local.reshape(-1, 9)  # entry (i, j) in column 3 i + j
-        pair = np.empty((blocks.shape[0], 3))
-        for k, (i, j) in enumerate(_LOCAL_EDGES):
-            np.add(blocks[:, 3 * i + j], blocks[:, 3 * j + i], out=pair[:, k])
-        pair *= 0.5
-        edge_sum = np.bincount(
-            mesh.triangle_edges.ravel(), pair.ravel(), minlength=mesh.edges.shape[0]
-        )[kept]
-        vertex_sum = np.bincount(
-            mesh.triangles.ravel(), blocks[:, ::4].ravel(), minlength=mesh.n_vertices
-        )
-        data = np.concatenate([edge_sum, vertex_sum[dofmap]])[pattern.data]
+    # Row k of the (3, T) entry arrays is local pair k, or corner k, of
+    # every triangle, as in ``corners``.
+    pair_edge = mesh.triangle_edges.T.ravel()
+    corner_vertex = corners.ravel()
+
+    def scatter(pair: np.ndarray, corner: np.ndarray) -> sp.csr_array:
+        edge_sum = np.bincount(pair_edge, pair.ravel(), minlength=mesh.edges.shape[0])
+        vertex_sum = np.bincount(corner_vertex, corner.ravel(), minlength=mesh.n_vertices)
+        data = np.concatenate([edge_sum[kept], vertex_sum[dofmap]])[pattern.data]
         return sp.csr_array(
             (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n)
         )
@@ -173,22 +140,56 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None):
     return scatter
 
 
-def _midpoint_form(fw: np.ndarray) -> np.ndarray:
-    """Midpoint-rule element blocks of ``integral(f u v)``; ``fw`` is f times weight."""
-    return np.einsum("tq,iq,jq->tij", fw, _MIDPOINT_BASIS, _MIDPOINT_BASIS, optimize=True)
+def _edges_and_midpoints(vertices: np.ndarray, corners: np.ndarray):
+    """Edge vectors and quadrature points, one row per local index.
+
+    Row i of ``ex, ey`` is the edge from corner i + 1 to corner i + 2,
+    opposite corner i; row k of ``qx, qy`` is the midpoint of local pair k.
+    """
+    x, y = vertices[:, 0][corners], vertices[:, 1][corners]
+    ex, ey, qx, qy = (np.empty_like(x) for _ in range(4))
+    for k, (a, b) in enumerate(_LOCAL_EDGES):
+        np.subtract(x[k - 1], x[b], out=ex[k])
+        np.subtract(y[k - 1], y[b], out=ey[k])
+        np.multiply(x[a] + x[b], 0.5, out=qx[k])
+        np.multiply(y[a] + y[b], 0.5, out=qy[k])
+    return ex, ey, qx, qy
 
 
-def _stiffness_blocks(coeff, grads, qpts, weights):
-    """Stiffness element blocks; constant gradients let the tensor's quadrature fold."""
-    tensor = _eval(coeff.a, qpts, "diffusion", (2, 2))
-    a_sum = tensor[:, 0] + tensor[:, 1] + tensor[:, 2]  # what sum(axis=1) adds, 3x faster
-    del tensor  # lowers the peak: only the sum is contracted
-    local = np.einsum("tia,tab,tjb->tij", grads, a_sum, grads, optimize=True)
-    local *= weights[:, :, None]
-    phi_vals = _eval(coeff.phi, qpts, "reaction")
-    if np.any(phi_vals):
-        local += _midpoint_form(phi_vals * weights)
-    return local
+def _folded_stiffness(tensor, ex, ey, det):
+    """Pair and corner entries of ``integral(grad u . A grad v)``.
+
+    Hat i has the constant gradient g_i / det with g_i = (-ey_i, ex_i), so
+    entry (i, j) is g_i . S g_j / (6 det), S the tensor summed over the three
+    points and symmetrized (folded quadrature).
+    """
+    s00, s01, s10, s11 = (
+        tensor[0, :, r, c] + tensor[1, :, r, c] + tensor[2, :, r, c]
+        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    scale = 1.0 / (6.0 * det)
+    s01 += s10
+    s01 *= 0.5 * scale
+    s00 *= scale
+    s11 *= scale
+    pair, corner = np.empty_like(ex), np.empty_like(ex)
+    for k, (_, b) in enumerate(_LOCAL_EDGES):
+        hx = s01 * ex[k] - s00 * ey[k]  # S g_k / (6 det)
+        hy = s11 * ex[k] - s01 * ey[k]
+        corner[k] = hy * ex[k] - hx * ey[k]
+        pair[k] = hy * ex[b] - hx * ey[b]
+    return pair, corner
+
+
+def _midpoint_form(fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair and corner entries of ``integral(f u v)``; ``fw`` is f times weight.
+
+    A hat function is 1/2 at the midpoints of its corner's two pairs and 0
+    at the third, so pair ``k`` gets ``fw_k / 4`` and corner ``i`` gets
+    ``(fw_{i-1} + fw_i) / 4``.
+    """
+    quarter = 0.25 * fw
+    return quarter, quarter[[2, 0, 1]] + quarter
 
 
 def assemble_pencil(
@@ -203,13 +204,24 @@ def assemble_pencil(
     vertex matrices (the stiffness is singular for the pure gradient term:
     constants lie in its kernel).
     """
-    scatter = _scatter_plan(mesh, dofmap)
-    area, grads, qpts = _geometry(mesh)
-    weights = (area / 3.0)[:, None]
-    stiffness = scatter(_stiffness_blocks(coeff, grads, qpts, weights))
-    del grads  # lowers the peak: the mass blocks do not need it
-    rho_vals = _eval(coeff.rho, qpts, "mass weight")
-    return stiffness, scatter(_midpoint_form(rho_vals * weights))
+    corners = np.ascontiguousarray(mesh.triangles.T)  # row i: corner i of each triangle
+    scatter = _scatter_plan(mesh, dofmap, corners)
+    ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, corners)
+    det = ex[1] * ey[2] - ex[2] * ey[1]
+    tensor = _eval(coeff.a, qx, qy, "diffusion", (2, 2))
+    pair, corner = _folded_stiffness(tensor, ex, ey, det)
+    del tensor, ex, ey  # lowers the peak
+
+    weight = det / 6.0  # area / 3
+    phi_vals = _eval(coeff.phi, qx, qy, "reaction")
+    if np.any(phi_vals):
+        reaction = _midpoint_form(phi_vals * weight)
+        pair += reaction[0]
+        corner += reaction[1]
+    stiffness = scatter(pair, corner)
+    del pair, corner
+    rho_vals = _eval(coeff.rho, qx, qy, "mass weight")
+    return stiffness, scatter(*_midpoint_form(rho_vals * weight))
 
 
 def interpolate(mesh: Mesh, dofmap: np.ndarray, f) -> np.ndarray:

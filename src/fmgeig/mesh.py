@@ -8,7 +8,9 @@ a boundary edge), never trusted from input files.
 Regular refinement splits each triangle into four congruent children by
 connecting the edge midpoints, halving the mesh size, and records the
 coarse-to-fine interpolation of piecewise-linear vertex coefficients as a
-sparse prolongation matrix.  :func:`build_hierarchy` chains refinements
+sparse prolongation matrix.  The fine mesh takes its edge table and
+boundary flags from the parent's, so only a mesh given by its connectivity
+alone sorts its edges.  :func:`build_hierarchy` chains refinements
 into a :class:`MeshHierarchy`, the nested sequence of spaces the multigrid
 solvers operate on.
 """
@@ -33,9 +35,9 @@ __all__ = [
 ]
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 1.22 KB per fine vertex (305-307 MiB at 263k
+#: Measured peak memory is about 1.15 KB per fine vertex (283-290 MiB at 263k
 #: vertices for the 7-level model problem from ``square:8``), so 2M vertices
-#: need about 2.4 GB, under a third of an 8 GB host.  The cap also keeps the
+#: need about 2.3 GB, under a third of an 8 GB host.  The cap also keeps the
 #: int32 connectivity and CSR index arrays of meshes and matrices in range.
 MAX_VERTICES = 2_000_000
 
@@ -53,8 +55,10 @@ class Mesh:
     boundary_vertex : ndarray of bool, shape (nv,)
         True for vertices lying on an edge owned by exactly one triangle.
     edges : ndarray of int32, shape (ne, 2)
-        Every undirected edge once, as a vertex pair ``u < v``, in
-        lexicographic order.
+        Every undirected edge once, as a vertex pair ``u < v``.  Meshes
+        built from connectivity alone list them in lexicographic order;
+        refined meshes in the order inherited from the parent (see
+        :func:`refine_regular`).
     triangle_edges : ndarray of int32, shape (nt, 3)
         Row of ``edges`` holding each triangle's local vertex pairs (0, 1),
         (1, 2) and (2, 0).
@@ -99,14 +103,27 @@ def _edge_table(
     """Unique undirected edges, each triangle's edge ids and per-edge triangle counts.
 
     Edges are sorted vertex pairs in lexicographic order, the ascending order
-    of the packed int64 key ``min * nv + max``.
+    of the packed int64 key ``min * nv + max``; refined meshes inherit their
+    table instead (:func:`refine_regular`).  Counterclockwise triangles of a
+    conforming mesh traverse each edge at most once per direction, so a
+    ``ValueError`` names the first edge traversed twice in one direction: a
+    repeated triangle, a fold, or an edge of more than two triangles.
     """
     ends = triangles[:, [1, 2, 0]]
+    forward = triangles < ends
     keys = np.minimum(triangles, ends).astype(np.int64) * nv + np.maximum(triangles, ends)
     keys, triangle_edges, counts = np.unique(
         keys.ravel(), return_inverse=True, return_counts=True
     )
     edges = np.column_stack(np.divmod(keys, nv)).astype(np.int32)
+    forward_counts = np.bincount(triangle_edges[forward.ravel()], minlength=len(keys))
+    twice = (forward_counts > 1) | (counts - forward_counts > 1)
+    if twice.any():
+        u, v = edges[np.argmax(twice)]
+        raise ValueError(
+            "non-conforming mesh: edge (%d, %d) is traversed twice in one "
+            "direction (repeated or overlapping triangles, or >2 sharing it)" % (u, v)
+        )
     return edges, triangle_edges.reshape(-1, 3).astype(np.int32), counts
 
 
@@ -118,27 +135,32 @@ def _signed_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.nda
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
+def _check_areas(vertices: np.ndarray, triangles: np.ndarray) -> None:
+    nonpositive = _signed_doubled_areas(vertices, triangles) <= 0.0
+    if nonpositive.any():
+        raise ValueError(
+            "triangle %d has non-positive area (orientation?)" % np.argmax(nonpositive)
+        )
+
+
+def _frozen_mesh(*arrays: np.ndarray) -> Mesh:
+    for array in arrays:
+        array.setflags(write=False)
+    return Mesh(*arrays)
+
+
 def _build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
-    """Validate connectivity, derive boundary flags and freeze the arrays."""
+    """Validate connectivity, derive the edge table and boundary flags, freeze."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     nv = vertices.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError("triangle refers to vertex index outside 0..%d" % (nv - 1))
     triangles = np.ascontiguousarray(triangles, dtype=np.int32)
-    if np.any(_signed_doubled_areas(vertices, triangles) <= 0.0):
-        bad = int(np.flatnonzero(_signed_doubled_areas(vertices, triangles) <= 0.0)[0])
-        raise ValueError("triangle %d has non-positive area (orientation?)" % bad)
-
+    _check_areas(vertices, triangles)
     edges, triangle_edges, counts = _edge_table(triangles, nv)
-    if counts.max(initial=0) > 2:
-        raise ValueError("non-conforming mesh: an edge is shared by >2 triangles")
-
     boundary = np.zeros(nv, dtype=bool)
     boundary[edges[counts == 1].ravel()] = True
-
-    for array in (vertices, triangles, boundary, edges, triangle_edges):
-        array.setflags(write=False)
-    return Mesh(vertices, triangles, boundary, edges, triangle_edges)
+    return _frozen_mesh(vertices, triangles, boundary, edges, triangle_edges)
 
 
 def unit_square_mesh(nx: int) -> Mesh:
@@ -241,29 +263,66 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
 
     Midpoint vertex ``V + e`` is created once for row ``e`` of
     ``mesh.edges``, so the fine mesh has ``V + E`` vertices and the result
-    is independent of triangle ordering.  Returns the fine mesh and the
-    prolongation whose rows hold 1 for retained coarse vertices and two
-    entries of 1/2 for midpoint vertices.
+    is independent of triangle ordering.  Row ``4t + c`` of the fine
+    triangles is child ``c`` of triangle ``t``.  The fine mesh inherits its edge
+    table and boundary flags from the parent's, with no sort: fine edge
+    ``2e + s`` is the half of edge ``e`` at its endpoint ``edges[e, s]``,
+    fine edge ``2E + 3t + k`` joins the midpoints of local pairs ``k`` and
+    ``k + 1`` of triangle ``t``, and a midpoint is a boundary vertex when
+    its edge has one owner.  Returns the fine mesh and the prolongation
+    whose rows hold 1 for retained coarse vertices and two entries of 1/2
+    for midpoint vertices.
     """
     tri = mesh.triangles
-    nv = mesh.n_vertices
-    edges = mesh.edges
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    edges, triangle_edges = mesh.edges, mesh.triangle_edges
     ne = edges.shape[0]
 
     ends = [mesh.vertices.take(edges[:, k], axis=0) for k in range(2)]
     midpoints = 0.5 * (ends[0] + ends[1])
     fine_vertices = np.concatenate([mesh.vertices, midpoints])
 
-    m01, m12, m20 = (nv + mesh.triangle_edges).T
-    children = np.concatenate(
+    # Row 4t + c is child c of triangle t: child c < 3 keeps corner c, child
+    # 3 is the triangle of midpoints.  Siblings stay together so that the
+    # triangle order, and the edges and midpoints numbered from it, stay
+    # local in space; with child-major rows a fine-level matrix-vector
+    # product touches about 1.4x as many cache lines of its input.
+    mid = nv + triangle_edges
+    m01, m12, m20 = mid.T
+    children = np.stack(
         [
             np.column_stack([tri[:, 0], m01, m20]),
             np.column_stack([tri[:, 1], m12, m01]),
             np.column_stack([tri[:, 2], m20, m12]),
             np.column_stack([m01, m12, m20]),
+        ],
+        axis=1,
+    ).reshape(-1, 3)
+
+    # The half of pair k's edge e at corner k is 2e + s, s = 0 when corner k
+    # is the smaller endpoint; the half at corner k + 1 is the other one.
+    at_first = 2 * triangle_edges + (tri > tri[:, [1, 2, 0]])
+    at_second = at_first ^ 1
+    inner = 2 * ne + np.arange(3 * nt, dtype=np.int32).reshape(nt, 3)
+    children_edges = np.stack(
+        [
+            np.column_stack([at_first[:, c], inner[:, c - 1], at_second[:, c - 1]])
+            for c in range(3)
         ]
+        + [inner],
+        axis=1,
+    ).reshape(-1, 3)
+    halves = np.column_stack(
+        [edges.ravel(), np.repeat(np.arange(nv, nv + ne, dtype=np.int32), 2)]
     )
-    fine = _build_mesh(fine_vertices, children)
+    next_mid = mid[:, [1, 2, 0]]
+    inner_edges = np.stack([np.minimum(mid, next_mid), np.maximum(mid, next_mid)], axis=-1)
+    fine_edges = np.concatenate([halves, inner_edges.reshape(-1, 2)])
+    owners = np.bincount(triangle_edges.ravel(), minlength=ne)
+    boundary = np.concatenate([mesh.boundary_vertex, owners == 1])
+
+    _check_areas(fine_vertices, children)
+    fine = _frozen_mesh(fine_vertices, children, boundary, fine_edges, children_edges)
 
     # Row i < V is the unit vector of vertex i; row V + e averages the
     # endpoints u < v of edge e, so every row's columns are already sorted.

@@ -45,6 +45,14 @@ def leading_entry(column):
     return next(i for i, value in enumerate(column) if abs(value) >= top - 1e-8 * top)
 
 
+def mesh_text(vertices, triangles):
+    """The node/element text of ``load_mesh`` for the given arrays."""
+    lines = ["%d %d" % (len(vertices), len(triangles))]
+    lines += ["%.17g %.17g" % (x, y) for x, y in vertices]
+    lines += ["%d %d %d" % tuple(t) for t in triangles]
+    return "\n".join(lines) + "\n"
+
+
 def first_eigenfunction(x, y):
     return 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
 

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmgeig as fg
 from fmgeig.errors import AssemblyError, NotPositiveDefiniteError
 
-from conftest import first_eigenfunction
+from conftest import first_eigenfunction, mesh_text
 
 REFERENCE_TRIANGLE = "3 1\n0 0\n1 0\n0 1\n0 1 2\n"
 
@@ -47,6 +49,27 @@ def loop_pencil(mesh, coeff):
                     stiffness[tri[i], tri[j]] += area / 3.0 * (grad_term + phi * product)
                     mass[tri[i], tri[j]] += area / 3.0 * rho * product
     return stiffness, mass
+
+
+def shuffled_square_mesh(nx, amplitude, seed):
+    """Loaded square mesh: interior vertices moved by up to ``amplitude * h``,
+    vertex ids permuted, triangles reordered and their corners rotated."""
+    rng = np.random.default_rng(seed)
+    mesh = fg.unit_square_mesh(nx)
+    shift = rng.uniform(-amplitude / nx, amplitude / nx, mesh.vertices.shape)
+    shift[mesh.boundary_vertex] = 0.0
+    perm = rng.permutation(mesh.n_vertices)
+    tri = np.argsort(perm)[mesh.triangles[rng.permutation(mesh.n_triangles)]]
+    turns = (np.arange(3) + rng.integers(0, 3, (len(tri), 1))) % 3
+    tri = np.take_along_axis(tri, turns, axis=1)
+    return fg.load_mesh(mesh_text((mesh.vertices + shift)[perm], tri))
+
+
+@st.composite
+def constant_spd_tensors(draw):
+    a, c = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    b = draw(st.floats(-0.95, 0.95)) * np.sqrt(a * c)
+    return np.array([[a, b], [b, c]])
 
 
 # Field of CoefficientField -> (name in error messages, a constant value).
@@ -98,6 +121,34 @@ class TestAssemblePencil:
         # is exactly the loop's nonzeros: dropped edges leave nothing behind.
         assert mass.nnz == np.count_nonzero(expected[1])
         assert np.array_equal(stiffness.indices, mass.indices)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        mesh=st.builds(
+            shuffled_square_mesh,
+            st.integers(1, 4),
+            st.floats(0.0, 0.3),
+            st.integers(0, 2**32 - 1),
+        ),
+        tensor=st.one_of(st.none(), constant_spd_tensors()),
+        interior=st.booleans(),
+    )
+    def test_matches_triangle_loop_on_random_meshes(self, mesh, tensor, interior):
+        # tensor None stands for the general problem's variable coefficients.
+        if tensor is None:
+            coeff = fg.general_problem().coefficients
+        else:
+            coeff = dataclasses.replace(fg.laplace_coefficients(), a=lambda x, y: tensor)
+        dofmap = fg.interior_dofmap(mesh) if interior else None
+        expected = loop_pencil(mesh, coeff)
+        if interior:
+            keep = np.ix_(dofmap, dofmap)
+            expected = tuple(matrix[keep] for matrix in expected)
+        for got, ref in zip(fg.assemble_pencil(mesh, dofmap, coeff), expected):
+            dense = got.toarray()
+            assert np.array_equal(dense, dense.T)
+            scale = np.abs(ref).max(initial=0.0)
+            assert np.abs(dense - ref).max(initial=0.0) <= 1e-14 * scale
 
 
 class TestStiffness:
@@ -200,6 +251,27 @@ class TestStiffness:
         message = "non-finite %s coefficient in triangle 1$" % name
         with pytest.raises(AssemblyError, match=message):
             fg.assemble_pencil(fg.unit_square_mesh(2), None, coeff)
+
+    @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
+    def test_nonfinite_coefficient_names_lowest_triangle(self, field):
+        # Points right of x = 0.6 are poisoned.  On this mesh the lowest
+        # triangle owning one is 1, while the lowest with a poisoned first
+        # midpoint (local pair (0, 1)) is 3.
+        mesh = shuffled_square_mesh(4, 0.2, 9)
+        tri = mesh.triangles
+        mid_x = 0.5 * (mesh.vertices[tri, 0] + mesh.vertices[tri[:, [1, 2, 0]], 0])
+        lowest = int(np.flatnonzero((mid_x > 0.6).any(axis=1))[0])
+        assert (lowest, int(np.flatnonzero(mid_x[:, 0] > 0.6)[0])) == (1, 3)
+        name, value = COEFFICIENTS[field]
+
+        def poisoned(x, y):
+            out = per_point(value)(x, y)
+            out[x > 0.6] = np.inf
+            return out
+
+        message = "non-finite %s coefficient in triangle %d$" % (name, lowest)
+        with pytest.raises(AssemblyError, match=message):
+            fg.assemble_pencil(mesh, None, with_coefficient(field, poisoned))
 
     @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
     def test_wrong_shape_names_coefficient(self, field):

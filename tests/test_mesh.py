@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import fmgeig as fg
+from fmgeig import mesh as mesh_module
 from fmgeig.errors import MeshFormatError
+
+from conftest import mesh_text
 
 
 def edge_counts(mesh):
@@ -12,13 +15,6 @@ def edge_counts(mesh):
     raw.sort(axis=1)
     _, counts = np.unique(raw, axis=0, return_counts=True)
     return counts
-
-
-def mesh_text(vertices, triangles):
-    lines = ["%d %d" % (len(vertices), len(triangles))]
-    lines += ["%.17g %.17g" % (x, y) for x, y in vertices]
-    lines += ["%d %d %d" % tuple(t) for t in triangles]
-    return "\n".join(lines) + "\n"
 
 
 def shuffled_perturbed_mesh(nx=5, seed=0):
@@ -34,6 +30,23 @@ def shuffled_perturbed_mesh(nx=5, seed=0):
     return fg.load_mesh(mesh_text(mesh.vertices + shift, tri))
 
 
+def benchmark_style_mesh(nx=8, seed=1):
+    """Loaded criss-cross square whose interior vertices move by a vector
+    drawn uniformly from the disc of radius 0.05 h."""
+    mesh = fg.unit_square_mesh(nx)
+    rng = np.random.default_rng(seed)
+    radius = 0.05 / nx * np.sqrt(rng.uniform(size=mesh.n_vertices))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=mesh.n_vertices)
+    shift = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    shift[mesh.boundary_vertex] = 0.0
+    return fg.load_mesh(mesh_text(mesh.vertices + shift, mesh.triangles))
+
+
+def edge_keys(mesh):
+    """The edge set as sorted packed keys ``u * nv + v``."""
+    return np.sort(mesh.edges[:, 0].astype(np.int64) * mesh.n_vertices + mesh.edges[:, 1])
+
+
 def triangle_set(mesh):
     """Triangles as rows rotated to start at their smallest vertex, sorted."""
     tri = mesh.triangles
@@ -42,16 +55,31 @@ def triangle_set(mesh):
     return tri[np.lexsort(tri.T[::-1])]
 
 
-@pytest.fixture(
-    params=["square4", "loaded_perturbed"] + ["hierarchy_level%d" % k for k in range(4)]
-)
+# Meshes whose edge table comes from mesh._edge_table, and refined ones,
+# which inherit theirs from the parent.
+SORTED_TABLE_MESHES = ["square4", "loaded_perturbed", "hierarchy_level0"]
+INHERITED_TABLE_MESHES = ["hierarchy_level%d" % k for k in range(1, 4)]
+
+
+@pytest.fixture(params=SORTED_TABLE_MESHES + INHERITED_TABLE_MESHES)
 def table_mesh(request):
-    if request.param == "square4":
+    return make_table_mesh(request.param)
+
+
+def make_table_mesh(name):
+    if name == "square4":
         return fg.unit_square_mesh(4)
-    if request.param == "loaded_perturbed":
+    if name == "loaded_perturbed":
         return shuffled_perturbed_mesh()
-    level = int(request.param[-1])
+    level = int(name[-1])
     return fg.build_hierarchy(shuffled_perturbed_mesh(3), 4).meshes[level]
+
+
+HIERARCHY_COARSE_MESHES = {
+    "shuffled_perturbed3": lambda: shuffled_perturbed_mesh(3),
+    "square4": lambda: fg.unit_square_mesh(4),
+    "benchmark_style": benchmark_style_mesh,
+}
 
 
 class TestUnitSquareMesh:
@@ -113,14 +141,36 @@ class TestLoadMesh:
     def test_nonconforming_rejected(self):
         # Three positively oriented triangles all sharing edge (0, 1).
         text = "5 3\n0 0\n1 0\n0 1\n0 -1\n0.5 0.5\n0 1 2\n0 3 1\n0 1 4\n"
-        with pytest.raises(MeshFormatError):
+        with pytest.raises(MeshFormatError, match=r"edge \(0, 1\)"):
+            fg.load_mesh(text)
+
+    def test_repeated_triangle_rejected(self):
+        # Both copies traverse all three edges in the same direction; without
+        # the check every vertex would count as interior.
+        text = "3 2\n0 0\n1 0\n0 1\n0 1 2\n0 1 2\n"
+        with pytest.raises(MeshFormatError, match=r"edge \(0, 1\) is traversed twice"):
+            fg.load_mesh(text)
+
+    def test_folded_mesh_rejected(self):
+        # Two triangles on the same side of edge (0, 1) overlap; without the
+        # check the edge would count as interior.
+        text = "4 2\n0 0\n1 0\n0 1\n0.2 0.5\n0 1 2\n0 1 3\n"
+        with pytest.raises(MeshFormatError, match=r"edge \(0, 1\) is traversed twice"):
             fg.load_mesh(text)
 
 
 class TestEdgeTable:
-    def test_edges_unique_and_lexicographic(self, table_mesh):
+    def test_edges_unique_ordered_pairs(self, table_mesh):
+        # Any order: refined meshes keep their parent's, not a sorted one.
         edges = table_mesh.edges
         assert edges.dtype == np.int32
+        assert np.all(edges[:, 0] < edges[:, 1])
+        keys = edge_keys(table_mesh)
+        assert np.all(keys[1:] > keys[:-1])
+
+    @pytest.mark.parametrize("name", SORTED_TABLE_MESHES)
+    def test_edges_unique_and_lexicographic(self, name):
+        edges = make_table_mesh(name).edges
         assert np.all(edges[:, 0] < edges[:, 1])
         first, second = edges[:-1], edges[1:]
         assert np.all(
@@ -213,6 +263,42 @@ class TestRefineRegular:
         assert np.array_equal(op @ coarse_vals, fine_vals)
 
 
+class TestInheritedTables:
+    """Refined meshes inherit their tables; a twin rebuilt from the vertices
+    and triangles alone must agree with them."""
+
+    @pytest.mark.parametrize("name", sorted(HIERARCHY_COARSE_MESHES))
+    def test_every_level_matches_rebuilt_twin(self, name):
+        hierarchy = fg.build_hierarchy(HIERARCHY_COARSE_MESHES[name](), 4)
+        problems = (fg.laplace_coefficients(), fg.general_problem().coefficients)
+        for mesh in hierarchy.meshes:
+            twin = mesh_module._build_mesh(mesh.vertices, mesh.triangles)
+            assert np.array_equal(edge_keys(mesh), edge_keys(twin))
+            assert len(mesh.edges) == len(twin.edges)
+            for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+                expected = np.sort(mesh.triangles[:, [a, b]], axis=1)
+                assert np.array_equal(mesh.edges[mesh.triangle_edges[:, k]], expected)
+            assert np.array_equal(mesh.boundary_vertex, twin.boundary_vertex)
+            dofmap = fg.interior_dofmap(mesh)
+            for coeff in problems:
+                got = fg.assemble_pencil(mesh, dofmap, coeff)
+                ref = fg.assemble_pencil(twin, dofmap, coeff)
+                for one, other in zip(got, ref):
+                    assert np.array_equal(one.indptr, other.indptr)
+                    assert np.array_equal(one.indices, other.indices)
+                    assert one.data.tobytes() == other.data.tobytes()
+
+    def test_refinement_does_not_sort_edges(self, monkeypatch):
+        coarse = shuffled_perturbed_mesh(3)
+
+        def forbidden(*args):
+            raise AssertionError("refine_regular rebuilt the edge table")
+
+        monkeypatch.setattr(mesh_module, "_edge_table", forbidden)
+        hierarchy = fg.build_hierarchy(coarse, 3)
+        assert hierarchy.meshes[-1].n_triangles == 16 * coarse.n_triangles
+
+
 class TestBuildHierarchy:
     def test_single_level(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 1)
@@ -224,11 +310,11 @@ class TestBuildHierarchy:
         assert [m.n_vertices for m in hier.meshes] == [9, 25, 81]
 
     def test_mesh_size_halves(self):
-        # The four children of triangle t (rows t, t + nt, t + 2nt, t + 3nt)
-        # are similar to it at ratio 1/2, so each has a quarter of its area.
+        # The four children of triangle t (rows 4t to 4t + 3) are similar
+        # to it at ratio 1/2, so each has a quarter of its area.
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 3)
         for coarse, fine in zip(hier.meshes, hier.meshes[1:]):
-            parent = np.tile(fg.triangle_areas(coarse), 4)
+            parent = np.repeat(fg.triangle_areas(coarse), 4)
             assert np.abs(fg.triangle_areas(fine) / parent - 0.25).max() < 1e-12
 
     def test_rejects_zero_levels(self):
