@@ -11,7 +11,6 @@ work studies via the ``fmg-eig`` command line tool.
 from .eigsolver import (
     EigenApprox,
     SolverConfig,
-    b_orthonormalize,
     coarse_eigensolve,
     direct_fine_solve,
     full_multigrid,

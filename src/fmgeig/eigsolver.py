@@ -13,10 +13,10 @@ vectors and maps the Ritz pairs back to the fine level.  The cost is
 dominated by the V-cycles, so the full sweep over levels is linear in the
 finest dof count.
 
-All operations keep the eigenvector blocks orthonormal in the mass inner
-product and return eigenvalues in ascending order.  In each vector the first
-entry within a relative 1e-8 of the largest magnitude is positive, a sign
-convention that entries tied up to round-off cannot flip.
+Returned blocks are orthonormal in the mass inner product, with eigenvalues
+in ascending order.  In each vector the first entry within a relative 1e-8
+of the largest magnitude is positive, a sign convention that entries tied up
+to round-off cannot flip.
 :func:`direct_fine_solve` provides an independent baseline: LOBPCG on the
 fine-level pencil with one block V-cycle as preconditioner.
 """
@@ -39,7 +39,6 @@ from .multigrid import MGContext, build_mg_context, mg_solve, v_cycle
 __all__ = [
     "EigenApprox",
     "SolverConfig",
-    "b_orthonormalize",
     "coarse_eigensolve",
     "one_correction_step",
     "augmented_ritz",
@@ -67,8 +66,10 @@ GRAM_DROP_TOL = 1e-12
 class EigenApprox:
     """A block of approximate eigenpairs living on one hierarchy level.
 
-    ``eigenvalues`` ascend and ``vectors`` (one per column, interior dofs)
-    are orthonormal in the level mass inner product.
+    ``eigenvalues`` ascend and ``vectors`` hold one column per pair, on the
+    interior dofs.  Every block the solvers return is orthonormal in the level
+    mass inner product; :func:`one_correction_step` accepts any block of full
+    rank.
     """
 
     level: int
@@ -115,29 +116,6 @@ def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     not depend on the thread count.
     """
     return np.einsum("ij,ik->jk", left, right)
-
-
-def b_orthonormalize(mass, vectors: np.ndarray) -> np.ndarray:
-    """Cholesky-QR in the mass inner product, run twice.
-
-    Each pass factors the mass Gram matrix ``V'BV = L L'`` and replaces
-    ``V`` by ``V L^{-T}``, applying the inverse of the small factor to the
-    block.  The QR factor with positive diagonal is unique, so the result
-    is the basis Gram-Schmidt would give (columns, in order; ``Q'BV`` is
-    upper triangular with a positive diagonal); the second pass removes the
-    loss of orthogonality the first leaves on ill-conditioned blocks.
-    Raises :class:`SolverError` when the mass Gram matrix is non-finite or
-    not numerically positive definite (e.g. a zero column).
-    """
-    out = np.asarray(vectors, dtype=float)
-    for _ in range(2):
-        gram = _gram(out, mass @ out)
-        if not np.all(np.isfinite(gram)):
-            raise SolverError("mass-orthonormalization hit a non-finite column")
-        lower = cholesky_dense(gram)
-        inverse = scipy.linalg.solve_triangular(lower, np.eye(lower.shape[0]), lower=True)
-        out = np.einsum("ij,kj->ik", out, inverse)
-    return out
 
 
 def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
@@ -188,8 +166,12 @@ def one_correction_step(
     ``m`` block V-cycles approximate the auxiliary source problems with
     right-hand sides ``lambda_j B u_j``; the coarse space plus the span of
     the smoothed vectors then yields new Ritz pairs.  Exact eigenpairs are a
-    fixed point.  Raises :class:`SolverError` when the cycles increase the
-    residual of any pair.
+    fixed point.  The input block needs full rank, not orthonormality.  The
+    Ritz vectors are mass-orthonormal up to round-off that the conditioning
+    of the augmented mass matrix amplifies (``GRAM_DROP_TOL`` caps it), and
+    one Cholesky-QR pass in the mass inner product removes that drift.
+    Raises :class:`SolverError` when the cycles increase the residual of any
+    pair or make it non-finite.
     """
     k = approx.level
     if k < 1:
@@ -203,7 +185,8 @@ def one_correction_step(
     a_s = a_k @ smoothed
     after = np.linalg.norm(rhs - a_s, axis=0)
     floor = 1e-12 * np.linalg.norm(rhs, axis=0)
-    diverged = np.flatnonzero(after > np.maximum(before * (1.0 + 1e-8), floor))
+    # Negated so that a NaN residual counts as divergence.
+    diverged = np.flatnonzero(~(after <= np.maximum(before * (1.0 + 1e-8), floor)))
     if diverged.size:
         j = diverged[0]
         raise SolverError(
@@ -230,7 +213,10 @@ def one_correction_step(
     vectors = prolong @ coef[:n_h]
     vectors += np.einsum("ij,jk->ik", smoothed, coef[n_h:])
 
-    vectors = b_orthonormalize(b_k, vectors)
+    # Cholesky-QR: V'BV = L L', then V <- V L^{-T} with the q x q inverse.
+    lower = cholesky_dense(_gram(vectors, b_k @ vectors))
+    inverse = scipy.linalg.solve_triangular(lower, np.eye(approx.q), lower=True)
+    vectors = np.einsum("ij,kj->ik", vectors, inverse)
     return EigenApprox(k, vals, sign_fix(vectors))
 
 
@@ -244,8 +230,8 @@ def full_multigrid(
     """Run the full multilevel scheme and return the finest-level eigenpairs.
 
     Starts from a dense eigensolve on the coarsest level, then for every
-    finer level prolongates the current block, re-orthonormalizes it in the
-    mass inner product and applies ``config.p`` correction steps.
+    finer level prolongates the current block and applies ``config.p``
+    correction steps to it.
     ``on_level`` (if given) is called with the accepted :class:`EigenApprox`
     of each level, which is exactly what a run with fewer levels would
     return.  A caller-provided ``ctx`` is used as is (its smoothing count
@@ -259,7 +245,6 @@ def full_multigrid(
         on_level(approx)
     for k in range(1, hierarchy.n_levels):
         vectors = ctx.transfer[k - 1] @ approx.vectors
-        vectors = sign_fix(b_orthonormalize(ctx.mass[k], vectors))
         approx = EigenApprox(k, approx.eigenvalues.copy(), vectors)
         for _ in range(config.p):
             approx = one_correction_step(ctx, approx, config)
@@ -279,6 +264,8 @@ def direct_fine_solve(
     preconditioner, one V-cycle from a zero guess, is a fixed symmetric
     positive definite operator, as LOBPCG's theory assumes.  The
     starting block comes from a fixed seed, so results are reproducible.
+    LOBPCG's final Rayleigh-Ritz step leaves its block mass-orthonormal, and
+    the first ``q`` columns are returned as they are, up to sign.
     The returned pairs satisfy ``|A u - lambda B u| <= tol * max|A|``, or
     :class:`ConvergenceError` is raised after ``DIRECT_ATTEMPTS`` calls.
     A level with fewer than ``5 (q + 2)`` dofs, too small for the block
@@ -303,7 +290,7 @@ def direct_fine_solve(
         )
         order = np.argsort(vals)
         vals, block = vals[order], block[:, order]
-        vecs = sign_fix(b_orthonormalize(b, block[:, :q]))
+        vecs = sign_fix(block[:, :q].copy())
         residuals = np.linalg.norm(a @ vecs - (b @ vecs) * vals[:q], axis=0)
         worst = float(residuals.max())
         if worst <= tol * a_scale:

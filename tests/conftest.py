@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import fmgeig as fg
 
@@ -51,6 +52,27 @@ def mesh_text(vertices, triangles):
     lines += ["%.17g %.17g" % (x, y) for x, y in vertices]
     lines += ["%d %d %d" % tuple(t) for t in triangles]
     return "\n".join(lines) + "\n"
+
+
+def shuffled_square_mesh(nx, amplitude, seed):
+    """Loaded square mesh: interior vertices moved by up to ``amplitude * h``,
+    vertex ids permuted, triangles reordered and their corners rotated."""
+    rng = np.random.default_rng(seed)
+    mesh = fg.unit_square_mesh(nx)
+    shift = rng.uniform(-amplitude / nx, amplitude / nx, mesh.vertices.shape)
+    shift[mesh.boundary_vertex] = 0.0
+    perm = rng.permutation(mesh.n_vertices)
+    tri = np.argsort(perm)[mesh.triangles[rng.permutation(mesh.n_triangles)]]
+    turns = (np.arange(3) + rng.integers(0, 3, (len(tri), 1))) % 3
+    tri = np.take_along_axis(tri, turns, axis=1)
+    return fg.load_mesh(mesh_text((mesh.vertices + shift)[perm], tri))
+
+
+def shuffled_meshes(sizes):
+    """Strategy of :func:`shuffled_square_mesh` with ``nx`` drawn from ``sizes``."""
+    return st.builds(
+        shuffled_square_mesh, sizes, st.floats(0.0, 0.3), st.integers(0, 2**32 - 1)
+    )
 
 
 def first_eigenfunction(x, y):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fmgeig as fg
 from fmgeig.errors import AssemblyError, NotPositiveDefiniteError
 
-from conftest import first_eigenfunction, mesh_text
+from conftest import first_eigenfunction, shuffled_meshes, shuffled_square_mesh
 
 REFERENCE_TRIANGLE = "3 1\n0 0\n1 0\n0 1\n0 1 2\n"
 
@@ -49,20 +49,6 @@ def loop_pencil(mesh, coeff):
                     stiffness[tri[i], tri[j]] += area / 3.0 * (grad_term + phi * product)
                     mass[tri[i], tri[j]] += area / 3.0 * rho * product
     return stiffness, mass
-
-
-def shuffled_square_mesh(nx, amplitude, seed):
-    """Loaded square mesh: interior vertices moved by up to ``amplitude * h``,
-    vertex ids permuted, triangles reordered and their corners rotated."""
-    rng = np.random.default_rng(seed)
-    mesh = fg.unit_square_mesh(nx)
-    shift = rng.uniform(-amplitude / nx, amplitude / nx, mesh.vertices.shape)
-    shift[mesh.boundary_vertex] = 0.0
-    perm = rng.permutation(mesh.n_vertices)
-    tri = np.argsort(perm)[mesh.triangles[rng.permutation(mesh.n_triangles)]]
-    turns = (np.arange(3) + rng.integers(0, 3, (len(tri), 1))) % 3
-    tri = np.take_along_axis(tri, turns, axis=1)
-    return fg.load_mesh(mesh_text((mesh.vertices + shift)[perm], tri))
 
 
 @st.composite
@@ -124,12 +110,7 @@ class TestAssemblePencil:
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
-        mesh=st.builds(
-            shuffled_square_mesh,
-            st.integers(1, 4),
-            st.floats(0.0, 0.3),
-            st.integers(0, 2**32 - 1),
-        ),
+        mesh=shuffled_meshes(st.integers(1, 4)),
         tensor=st.one_of(st.none(), constant_spd_tensors()),
         interior=st.booleans(),
     )
