@@ -180,8 +180,12 @@ def one_correction_step(
     b_k = ctx.mass[k]
 
     rhs = (b_k @ approx.vectors) * approx.eigenvalues
-    before = np.linalg.norm(rhs - a_k @ approx.vectors, axis=0)
-    smoothed = mg_solve(ctx, k, rhs, approx.vectors, config.m)
+    # The cycles solve for the correction of u_j from a zero guess, so they
+    # start from this defect instead of forming it again.
+    defect = rhs - a_k @ approx.vectors
+    before = np.linalg.norm(defect, axis=0)
+    smoothed = mg_solve(ctx, k, defect, np.zeros_like(defect), config.m)
+    smoothed += approx.vectors
     a_s = a_k @ smoothed
     after = np.linalg.norm(rhs - a_s, axis=0)
     floor = 1e-12 * np.linalg.norm(rhs, axis=0)
@@ -263,7 +267,9 @@ def direct_fine_solve(
     eigenvalues converging at the rate of the next spectral gap.  The
     preconditioner, one V-cycle from a zero guess, is a fixed symmetric
     positive definite operator, as LOBPCG's theory assumes.  The
-    starting block comes from a fixed seed, so results are reproducible.
+    starting block is the ``q + 2`` lowest dense eigenvectors of the first
+    level with that many dofs, prolongated to ``level``: the same functions
+    whatever the vertex numbering, so the iteration does not depend on it.
     LOBPCG's final Rayleigh-Ritz step leaves its block mass-orthonormal, and
     the first ``q`` columns are returned as they are, up to sign.
     The returned pairs satisfy ``|A u - lambda B u| <= tol * max|A|``, or
@@ -282,7 +288,10 @@ def direct_fine_solve(
         return coarse_eigensolve(ctx, q, level)
     a_scale = float(np.abs(a.data).max())
 
-    block = np.random.default_rng(0).standard_normal((n, q + 2))
+    start = next(k for k in range(level + 1) if ctx.n_dofs(k) >= q + 2)
+    block = coarse_eigensolve(ctx, q + 2, start).vectors
+    for op in ctx.transfer[start:level]:
+        block = op @ block
     for _ in range(DIRECT_ATTEMPTS):
         vals, block = scipy.sparse.linalg.lobpcg(
             a, block, B=b, M=lambda r: v_cycle(ctx, level, r, np.zeros_like(r)),

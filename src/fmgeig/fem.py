@@ -133,9 +133,7 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None, corners: np.ndarray):
         edge_sum = np.bincount(pair_edge, pair.ravel(), minlength=mesh.edges.shape[0])
         vertex_sum = np.bincount(corner_vertex, corner.ravel(), minlength=mesh.n_vertices)
         data = np.concatenate([edge_sum[kept], vertex_sum[dofmap]])[pattern.data]
-        return sp.csr_array(
-            (data, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n)
-        )
+        return sp.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n))
 
     return scatter
 

@@ -13,6 +13,16 @@ restricts the residual, recurses with an exact solve at the bottom, corrects
 and smooths again, on one vector or on all columns of an ``(n, q)`` block at
 once.
 
+One recursion serves two precisions, chosen by the right-hand side's dtype.
+The public :func:`v_cycle` runs in float64: it is LOBPCG's symmetric
+preconditioner.  :func:`mg_solve` is a float64 defect correction around
+float32 cycles on float32 copies of the operators, which share the index
+arrays of the float64 ones: the cycles are bound by the memory traffic of
+their sparse products, and float32 values halve it.  The correction step
+only needs its smoothed vectors to span a good space, so float32 round-off
+moves its eigenvalues by about float32 epsilon times the algebraic error the
+step leaves (Tamstorf, Benzaken & McCormick, SIAM J. Sci. Comput. 43, 2021).
+
 The smoother is a Chebyshev polynomial of degree ``nu + 1`` in ``D^{-1} A``
 on ``[lam/8, lam]`` (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188,
 2003), with ``lam`` the Gershgorin bound of each level's ``D^{-1} A``.  It
@@ -24,6 +34,7 @@ times level dofs, the machine-independent cost measure of the harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -39,8 +50,17 @@ __all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
 #: correction step solves a dense pencil of ``n_0 + q`` rows: a q=6 ``eigh``
 #: took 0.71 s at 2025 dofs and 5.2 s at 3969 dofs on a 2-core host.  The
 #: context also holds two dense ``n_0 x n_0`` blocks per level, 64 MB per
-#: level at the cap.
+#: level at the cap, and the coarse inverse in float64 and float32, 48 MB.
 MAX_COARSE_DOFS = 2000
+
+
+class CycleOperators(NamedTuple):
+    """What a V-cycle reads, in one precision (see :meth:`MGContext.operators`)."""
+
+    stiffness: list
+    transfer: list
+    inv_diag: list
+    coarse_inverse: np.ndarray
 
 
 @dataclass
@@ -58,6 +78,12 @@ class MGContext:
     ``P_k' A_k P_k`` and ``P_k' B_k P_k`` with ``P_k =
     coarse_prolongation[k]``: the pencil of the coarse part of the
     augmented space, which depends only on the level.
+
+    ``single`` holds float32 copies of the stiffness matrices, transfers,
+    ``inv_diag`` and ``coarse_inverse`` for the cycles inside
+    :func:`mg_solve`.  Each level's stiffness and mass, and the float32
+    stiffness, share one pair of CSR index arrays; each float32 transfer
+    shares those of its float64 transfer.
     """
 
     stiffness: list
@@ -71,11 +97,18 @@ class MGContext:
     coarse_inverse: np.ndarray
     coarse_stiffness: list  # dense P_k' A_k P_k of every level
     coarse_mass: list       # dense P_k' B_k P_k of every level
+    single: CycleOperators  # float32 copies of the cycle's operators
     work_units: float = 0.0
 
     @property
     def n_levels(self) -> int:
         return len(self.stiffness)
+
+    def operators(self, dtype) -> CycleOperators:
+        """The cycle's operators in ``dtype``: float32 copies or the float64 originals."""
+        if dtype == np.float32:
+            return self.single
+        return CycleOperators(self.stiffness, self.transfer, self.inv_diag, self.coarse_inverse)
 
     def n_dofs(self, level: int) -> int:
         return self.stiffness[level].shape[0]
@@ -134,27 +167,43 @@ def build_mg_context(
 
     lower = cholesky_dense(stiffness[0].toarray())
     coarse_inverse = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
+    single = CycleOperators(
+        [_float32_values(a) for a in stiffness],
+        [_float32_values(t) for t in transfer],
+        [d.astype(np.float32) for d in inv_diag],
+        coarse_inverse.astype(np.float32),
+    )
     return MGContext(
         stiffness, mass, transfer, coarse_prolongation, dofmaps, nu,
-        inv_diag, lambda_max, coarse_inverse, coarse_stiffness, coarse_mass,
+        inv_diag, lambda_max, coarse_inverse, coarse_stiffness, coarse_mass, single,
     )
 
 
-def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Chebyshev smoothing of ``x`` (updated in place) towards ``A_k x = f``.
+def _float32_values(matrix: sp.csr_array) -> sp.csr_array:
+    """``matrix`` with float32 values on its own index arrays (shared, not copied)."""
+    return sp.csr_array(
+        (matrix.data.astype(np.float32), matrix.indices, matrix.indptr), shape=matrix.shape
+    )
+
+
+def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+    """Chebyshev smoothing of ``x`` towards ``A_k x = f`` in the precision of ``f``.
 
     Saad's three-term recurrence (Iterative Methods, Alg. 12.1) for
     ``D^{-1} A_k`` on ``[lam/8, lam]``: one residual, then ``nu`` updates of
     one product with ``A_k`` each, for a polynomial of degree ``nu + 1``.
+    ``x`` is updated in place; ``None`` stands for a zero guess, whose
+    residual is ``f`` itself, so it costs no product.
     """
-    matrix = ctx.stiffness[level]
-    inv_diag = ctx.inv_diag[level] if f.ndim == 1 else ctx.inv_diag[level][:, None]
+    ops = ctx.operators(f.dtype)
+    matrix = ops.stiffness[level]
+    inv_diag = ops.inv_diag[level] if f.ndim == 1 else ops.inv_diag[level][:, None]
     theta = 9.0 / 16.0 * ctx.lambda_max[level]  # centre of the interval
     delta = 7.0 / 16.0 * ctx.lambda_max[level]  # half-width
     rho = delta / theta
-    residual = f - matrix @ x
+    residual = f.copy() if x is None else f - matrix @ x
     step = (inv_diag / theta) * residual
-    x += step
+    x = step.copy() if x is None else np.add(x, step, out=x)
     for _ in range(ctx.nu):
         residual -= matrix @ step
         rho, rho_prev = 1.0 / (2.0 * theta / delta - rho), rho
@@ -165,42 +214,52 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndar
     return x
 
 
+def _cycle(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> np.ndarray:
+    """The V-cycle recursion in the precision of ``f``; ``x`` as in :func:`_smooth`."""
+    ops = ctx.operators(f.dtype)
+    if level == 0:
+        return ops.coarse_inverse @ f
+    x = _smooth(ctx, level, f, x)
+    residual = f - ops.stiffness[level] @ x
+    correction = _cycle(ctx, level - 1, ops.transfer[level - 1].T @ residual, None)
+    x += ops.transfer[level - 1] @ correction
+    return _smooth(ctx, level, f, x)
+
+
+def _check_level(ctx: MGContext, level: int) -> None:
+    if not 0 <= level < ctx.n_levels:
+        raise ValueError("level %d out of range 0..%d" % (level, ctx.n_levels - 1))
+
+
 def v_cycle(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One V-cycle for the level system, starting from iterate ``x``.
+    """One float64 V-cycle for the level system, starting from iterate ``x``.
 
     ``f`` and ``x`` are vectors or ``(n, q)`` blocks of independent columns.
     At the coarsest level this is an exact dense solve.  The input arrays
     are not modified.
     """
-    if not 0 <= level < ctx.n_levels:
-        raise ValueError("level %d out of range 0..%d" % (level, ctx.n_levels - 1))
-    f = np.asarray(f, dtype=float)
-    if level == 0:
-        return ctx.coarse_inverse @ f
-
-    x = np.array(x, dtype=float)
-    x = _smooth(ctx, level, f, x)
-    residual = f - ctx.stiffness[level] @ x
-    coarse_residual = ctx.transfer[level - 1].T @ residual
-    correction = v_cycle(
-        ctx, level - 1, coarse_residual, np.zeros_like(coarse_residual)
-    )
-    x = x + ctx.transfer[level - 1] @ correction
-    return _smooth(ctx, level, f, x)
+    _check_level(ctx, level)
+    return _cycle(ctx, level, np.asarray(f, dtype=float), np.array(x, dtype=float))
 
 
 def mg_solve(
     ctx: MGContext, level: int, f: np.ndarray, x0: np.ndarray, m: int
 ) -> np.ndarray:
-    """Apply ``m`` V-cycles starting from ``x0`` (a vector or a block).
+    """Apply ``m`` mixed-precision V-cycles starting from ``x0`` (a vector or a block).
 
-    This is the approximate boundary-value solve the eigenvalue correction
-    step performs with the scaled mass-weighted eigenvectors as right-hand
-    sides and the current eigenvectors as initial guesses.
+    Each cycle forms the defect ``f - A_k x`` in float64, runs one float32
+    V-cycle from a zero guess on it and adds the result to ``x`` (defect
+    correction), so the iterate and its defects keep float64 accuracy.  A
+    zero ``x0`` makes ``f`` the first defect, with no product.  This is the
+    approximate boundary-value solve of the eigenvalue correction step.
     """
     if m < 1:
         raise ValueError("m must be >= 1, got %r" % (m,))
+    _check_level(ctx, level)
+    matrix = ctx.stiffness[level]
+    f = np.asarray(f, dtype=float)
     x = np.array(x0, dtype=float)
-    for _ in range(m):
-        x = v_cycle(ctx, level, f, x)
+    for cycle in range(m):
+        defect = f - matrix @ x if cycle or x.any() else f
+        x += _cycle(ctx, level, defect.astype(np.float32), None)
     return x

@@ -22,10 +22,14 @@ def small_ctx(small_hierarchy, model_coeff):
 
 
 @pytest.fixture(scope="session")
-def general_ctx():
-    # The general problem on mesh(4) refined three times: 9 / 49 / 225 / 961 dofs.
-    hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
-    return fg.build_mg_context(hier, fg.general_problem().coefficients, nu=2)
+def general_hierarchy():
+    # mesh(4) refined three times: 9 / 49 / 225 / 961 interior dofs.
+    return fg.build_hierarchy(fg.unit_square_mesh(4), 4)
+
+
+@pytest.fixture(scope="session")
+def general_ctx(general_hierarchy):
+    return fg.build_mg_context(general_hierarchy, fg.general_problem().coefficients, nu=2)
 
 
 @pytest.fixture(scope="session")

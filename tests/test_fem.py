@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -130,6 +131,54 @@ class TestAssemblePencil:
             assert np.array_equal(dense, dense.T)
             scale = np.abs(ref).max(initial=0.0)
             assert np.abs(dense - ref).max(initial=0.0) <= 1e-14 * scale
+
+
+def digest(matrices):
+    """Short SHA-256 of the values and index arrays of CSR matrices."""
+    sha = hashlib.sha256()
+    for matrix in matrices:
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            sha.update(array.dtype.str.encode())
+            sha.update(array.tobytes())
+    return sha.hexdigest()[:16]
+
+
+# Polynomial coefficients, so every value is a fixed sequence of IEEE
+# operations; the digests were recorded from assembly that gave each matrix
+# its own copy of the index arrays.
+POLYNOMIAL_COEFFICIENTS = fg.CoefficientField(
+    a=lambda x, y: np.array([[2.0, 0.5], [0.5, 1.0]]),
+    phi=lambda x, y: 3.0,
+    rho=lambda x, y: 1.0 + (x - 0.5) * (y - 0.5),
+)
+RECORDED_DIGESTS = {
+    (3, 0.2, 0, False): "83b0eda14cadcbe4",
+    (3, 0.2, 0, True): "660d129702b68157",
+    (4, 0.3, 1, False): "4743d6fc44d0e9a0",
+    (4, 0.3, 1, True): "b532e9be4bb5431e",
+    (6, 0.1, 2, False): "18c35fe26f003753",
+    (6, 0.1, 2, True): "e66257c62a14eeb2",
+}
+
+
+class TestSharedStructure:
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(mesh=shuffled_meshes(st.integers(1, 4)), interior=st.booleans())
+    def test_pencil_shares_index_arrays(self, mesh, interior):
+        dofmap = fg.interior_dofmap(mesh) if interior else None
+        stiffness, mass = fg.assemble_pencil(mesh, dofmap, POLYNOMIAL_COEFFICIENTS)
+        # Empty arrays share no memory: square1 without its boundary is empty.
+        assert stiffness.nnz == 0 or np.shares_memory(stiffness.indices, mass.indices)
+        assert np.shares_memory(stiffness.indptr, mass.indptr)
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_DIGESTS))
+    def test_bit_identical_to_recorded_assembly(self, case):
+        # The shuffled meshes of the triangle-loop property test.
+        nx, amplitude, seed, interior = case
+        mesh = shuffled_square_mesh(nx, amplitude, seed)
+        dofmap = fg.interior_dofmap(mesh) if interior else None
+        pencil = fg.assemble_pencil(mesh, dofmap, POLYNOMIAL_COEFFICIENTS)
+        assert digest(pencil) == RECORDED_DIGESTS[case]
 
 
 class TestStiffness:

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import fmgeig as fg
+from fmgeig import multigrid
 
 
 def reference_solution(matrix, f):
@@ -33,6 +34,19 @@ def zero_guess_cycle(ctx, columns):
     shape = (ctx.n_dofs(level),) if columns is None else (ctx.n_dofs(level), columns)
     f, g = np.random.default_rng(8).standard_normal((2,) + shape)
     return lambda rhs: fg.v_cycle(ctx, level, rhs, np.zeros_like(rhs)), f, g
+
+
+def float32_zero_guess_cycle(ctx, columns):
+    """As :func:`zero_guess_cycle`, for the float32 cycle inside ``mg_solve``."""
+    _, f, g = zero_guess_cycle(ctx, columns)
+    level = ctx.n_levels - 1
+
+    def cycle(rhs):
+        out = multigrid._cycle(ctx, level, rhs.astype(np.float32), None)
+        assert out.dtype == np.float32
+        return out.astype(float)
+
+    return cycle, f, g
 
 
 class TestBuildContext:
@@ -108,6 +122,35 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             fg.build_mg_context(small_hierarchy, model_coeff, nu=0)
 
+    @pytest.mark.parametrize("ctx_name", ["small_ctx", "general_ctx"])
+    def test_one_csr_structure_per_level(self, ctx_name, request):
+        # Stiffness, mass and the float32 stiffness share one pair of index
+        # arrays; each float32 transfer shares its float64 transfer's.
+        ctx = request.getfixturevalue(ctx_name)
+        pairs = [
+            (ctx.stiffness[k], other)
+            for k in range(ctx.n_levels)
+            for other in (ctx.mass[k], ctx.single.stiffness[k])
+        ]
+        pairs += list(zip(ctx.transfer, ctx.single.transfer))
+        for matrix, other in pairs:
+            assert np.shares_memory(matrix.indices, other.indices)
+            assert np.shares_memory(matrix.indptr, other.indptr)
+
+    def test_float32_copies(self, general_ctx):
+        single = general_ctx.single
+        for matrix, copy in zip(
+            general_ctx.stiffness + general_ctx.transfer, single.stiffness + single.transfer
+        ):
+            assert copy.dtype == np.float32
+            assert np.array_equal(copy.data, matrix.data.astype(np.float32))
+        for inv_diag, copy in zip(general_ctx.inv_diag, single.inv_diag):
+            assert np.array_equal(copy, inv_diag.astype(np.float32))
+        assert np.array_equal(
+            single.coarse_inverse, general_ctx.coarse_inverse.astype(np.float32)
+        )
+        assert all(type(lam) is float for lam in general_ctx.lambda_max)
+
 
 class TestVCycle:
     def test_zero_fixed_point(self, small_ctx):
@@ -177,6 +220,53 @@ class TestVCycle:
             fg.v_cycle(small_ctx, small_ctx.n_levels, zero, zero)
 
 
+class TestFloat32Cycle:
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+    def test_cycle_from_zero_is_linear(self, general_ctx, columns):
+        cycle, f, g = float32_zero_guess_cycle(general_ctx, columns)
+        combined = cycle(f + 2.0 * g)
+        defect = combined - cycle(f) - 2.0 * cycle(g)
+        assert np.abs(defect).max() <= 1e-5 * np.abs(combined).max()
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+    def test_cycle_from_zero_is_symmetric(self, general_ctx, columns):
+        cycle, f, g = float32_zero_guess_cycle(general_ctx, columns)
+        forward = g.T @ cycle(f)
+        backward = (f.T @ cycle(g)).T
+        assert np.abs(forward - backward).max() <= 1e-5 * np.abs(forward).max()
+
+    @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
+    def test_every_level_stays_float32(self, general_ctx, monkeypatch, columns):
+        # A float64 operand anywhere in the recursion would upcast the rest
+        # of the cycle silently and give back the float64 memory traffic.
+        seen = []
+        for name in ("_cycle", "_smooth"):
+            def spy(ctx, level, f, x, inner=getattr(multigrid, name), name=name):
+                out = inner(ctx, level, f, x)
+                seen.append((name, level, f.dtype, out.dtype))
+                return out
+
+            monkeypatch.setattr(multigrid, name, spy)
+        _, f, _ = zero_guess_cycle(general_ctx, columns)
+        top = general_ctx.n_levels - 1
+        out = fg.mg_solve(general_ctx, top, f, np.zeros_like(f), 2)
+        assert out.dtype == np.float64
+        assert {level for name, level, _, _ in seen if name == "_cycle"} == set(range(top + 1))
+        assert {level for name, level, _, _ in seen if name == "_smooth"} == set(range(1, top + 1))
+        assert all(dt_in == dt_out == np.float32 for _, _, dt_in, dt_out in seen)
+
+    def test_defect_form_matches_initial_guess(self, small_ctx):
+        # mg_solve from a zero guess equals the same cycles from f - A x0
+        # added to x0, which is how the correction step calls it.
+        level = small_ctx.n_levels - 1
+        rng = np.random.default_rng(9)
+        f, x0 = rng.standard_normal((2, small_ctx.n_dofs(level)))
+        direct = fg.mg_solve(small_ctx, level, f, x0, 3)
+        defect = f - small_ctx.stiffness[level] @ x0
+        shifted = x0 + fg.mg_solve(small_ctx, level, defect, np.zeros_like(f), 3)
+        assert np.abs(direct - shifted).max() <= 1e-12 * np.abs(direct).max()
+
+
 class TestMGSolve:
     def test_matches_dense_solve(self, model_coeff):
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 2)
@@ -218,6 +308,11 @@ class TestMGSolve:
         zero = np.zeros(small_ctx.n_dofs(0))
         with pytest.raises(ValueError):
             fg.mg_solve(small_ctx, 0, zero, zero, 0)
+
+    def test_level_out_of_range(self, small_ctx):
+        zero = np.zeros(small_ctx.n_dofs(0))
+        with pytest.raises(ValueError):
+            fg.mg_solve(small_ctx, -1, zero, zero, 1)
 
 
 class TestConcurrentSolves:
