@@ -118,6 +118,21 @@ def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ik->jk", left, right)
 
 
+def _prolongate(ctx: MGContext, block: np.ndarray, start: int, level: int) -> np.ndarray:
+    """``block`` on level ``start`` interpolated to ``level`` through the transfers."""
+    for op in ctx.transfer[start:level]:
+        block = op @ block
+    return block
+
+
+def _restrict(ctx: MGContext, block: np.ndarray, level: int) -> np.ndarray:
+    """``P' block`` for the interpolation ``P`` from level 0 to ``level``,
+    through the transposed transfers from fine to coarse."""
+    for op in reversed(ctx.transfer[:level]):
+        block = op.T @ block
+    return block
+
+
 def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
     """Dense solve of the level pencil for the ``q`` smallest eigenpairs."""
     a = ctx.stiffness[level]
@@ -197,15 +212,15 @@ def one_correction_step(
             "multigrid diverged on pair %d: residual %g -> %g" % (j, before[j], after[j])
         )
 
-    # Augmented space: the coarse space, spanned by P = coarse_prolongation[k]
-    # with its blocks P'AP and P'BP cached per level, plus the smoothed
-    # vectors S.  The cross blocks are P'(AS) and P'(BS), so the step forms
-    # only (n, q) products; the projected pencil is dense and small.
-    prolong = ctx.coarse_prolongation[k]
-    n_h = prolong.shape[1]
+    # Augmented space: the coarse space, spanned by the interpolation P of
+    # the level-0 dofs, plus the smoothed vectors S.  P'AP and P'BP are
+    # cached per level, and the cross blocks P'(AS) and P'(BS) are (n, q)
+    # blocks restricted down the transfers, so P itself is never formed.
+    # Two restrictions of (n, q) blocks measured faster than one of the
+    # stacked (n, 2q) block [AS, BS], which also costs a copy.
     b_s = b_k @ smoothed
-    a_cross = prolong.T @ a_s
-    b_cross = prolong.T @ b_s
+    a_cross, b_cross = _restrict(ctx, a_s, k), _restrict(ctx, b_s, k)
+    n_h = ctx.n_dofs(0)
     a_aug = np.block([[ctx.coarse_stiffness[k], a_cross], [a_cross.T, _gram(smoothed, a_s)]])
     b_aug = np.block([[ctx.coarse_mass[k], b_cross], [b_cross.T, _gram(smoothed, b_s)]])
     a_aug = 0.5 * (a_aug + a_aug.T)
@@ -214,7 +229,7 @@ def one_correction_step(
     vals, ritz, kept = augmented_ritz(a_aug, b_aug, approx.q, GRAM_DROP_TOL)
     coef = np.zeros((a_aug.shape[0], approx.q))
     coef[kept] = ritz  # dropped basis columns get zero weight
-    vectors = prolong @ coef[:n_h]
+    vectors = _prolongate(ctx, coef[:n_h], 0, k)
     vectors += np.einsum("ij,jk->ik", smoothed, coef[n_h:])
 
     # Cholesky-QR: V'BV = L L', then V <- V L^{-T} with the q x q inverse.
@@ -289,9 +304,7 @@ def direct_fine_solve(
     a_scale = float(np.abs(a.data).max())
 
     start = next(k for k in range(level + 1) if ctx.n_dofs(k) >= q + 2)
-    block = coarse_eigensolve(ctx, q + 2, start).vectors
-    for op in ctx.transfer[start:level]:
-        block = op @ block
+    block = _prolongate(ctx, coarse_eigensolve(ctx, q + 2, start).vectors, start, level)
     for _ in range(DIRECT_ATTEMPTS):
         vals, block = scipy.sparse.linalg.lobpcg(
             a, block, B=b, M=lambda r: v_cycle(ctx, level, r, np.zeros_like(r)),

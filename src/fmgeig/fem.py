@@ -23,10 +23,19 @@ records where each entry's value comes from.  Couplings are summed per edge
 and corner entries per vertex with ``np.bincount``, in a fixed order, and
 gathered into both entries of each edge, so the matrices are exactly
 symmetric by construction and runs are bit reproducible.
+
+Given the coarse mesh a level was refined from, the same pass also returns
+the dense Galerkin blocks of the coarse space on that level.  Regular
+refinement numbers the descendants of a coarse triangle as one contiguous
+run of fine rows, with fixed barycentric corners, and the coarse hats are
+linear on each: the gradient term is the weighted folded tensor summed over
+the run, and the midpoint terms contract the fine point values with one
+exact table of coarse hat products shared by all coarse triangles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, NotPositiveDefiniteError
-from .mesh import Mesh
+from .mesh import Mesh, _descendant_corners
 
 __all__ = [
     "CoefficientField",
@@ -154,25 +163,28 @@ def _edges_and_midpoints(vertices: np.ndarray, corners: np.ndarray):
     return ex, ey, qx, qy
 
 
-def _folded_stiffness(tensor, ex, ey, det):
-    """Pair and corner entries of ``integral(grad u . A grad v)``.
-
-    Hat i has the constant gradient g_i / det with g_i = (-ey_i, ex_i), so
-    entry (i, j) is g_i . S g_j / (6 det), S the tensor summed over the three
-    points and symmetrized (folded quadrature).
-    """
+def _folded_tensor(tensor):
+    """Entries 00, 01 and 11 of the tensor summed over the three points and
+    symmetrized (folded quadrature): P1 gradients are constant per triangle."""
     s00, s01, s10, s11 = (
         tensor[0, :, r, c] + tensor[1, :, r, c] + tensor[2, :, r, c]
         for r, c in ((0, 0), (0, 1), (1, 0), (1, 1))
     )
-    scale = 1.0 / (6.0 * det)
     s01 += s10
-    s01 *= 0.5 * scale
-    s00 *= scale
-    s11 *= scale
+    s01 *= 0.5
+    return s00, s01, s11
+
+
+def _gradient_form(folded, ex, ey):
+    """Pair and corner entries ``g_i . S g_j`` of the rows ``S = (s00, s01, s11)``.
+
+    ``g_i = (-ey_i, ex_i)`` is the gradient of hat ``i`` times ``det``, so
+    ``S`` the folded tensor over ``6 det`` gives ``integral(grad u . A grad v)``.
+    """
+    s00, s01, s11 = folded
     pair, corner = np.empty_like(ex), np.empty_like(ex)
     for k, (_, b) in enumerate(_LOCAL_EDGES):
-        hx = s01 * ex[k] - s00 * ey[k]  # S g_k / (6 det)
+        hx = s01 * ex[k] - s00 * ey[k]  # S g_k
         hy = s11 * ex[k] - s01 * ey[k]
         corner[k] = hy * ex[k] - hx * ey[k]
         pair[k] = hy * ex[b] - hx * ey[b]
@@ -190,9 +202,55 @@ def _midpoint_form(fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return quarter, quarter[[2, 0, 1]] + quarter
 
 
+def _refinements(mesh: Mesh, coarse: Mesh) -> int:
+    """How many times :func:`~fmgeig.mesh.refine_regular` split ``coarse`` into ``mesh``.
+
+    ``ValueError`` unless ``mesh`` has ``4**k`` times the coarse triangles,
+    starts with the coarse vertices, and row ``4**k t`` (the first
+    descendant of coarse triangle ``t``) keeps the first corner of ``t``.
+    """
+    k = round(math.log(max(mesh.n_triangles / coarse.n_triangles, 1.0), 4))
+    step = 4**k
+    if not (
+        mesh.n_triangles == step * coarse.n_triangles
+        and np.array_equal(mesh.vertices[: coarse.n_vertices], coarse.vertices)
+        and np.array_equal(mesh.triangles[::step, 0], coarse.triangles[:, 0])
+    ):
+        raise ValueError("mesh was not refined from the given coarse mesh")
+    return k
+
+
+def _descendant_products(levels: int) -> np.ndarray:
+    """Products of a triangle's barycentric coordinates at its descendants' points.
+
+    Slab ``m``, row ``d`` is taken at the midpoint of local pair ``m`` of
+    descendant ``d`` (see :func:`~fmgeig.mesh._descendant_corners`): the
+    pair products ``l_i l_{i+1}``, then the squares ``l_i**2``, all exact.
+    """
+    corners = _descendant_corners(levels)
+    lam = (0.5 * (corners + corners[:, [1, 2, 0]])).transpose(1, 0, 2)
+    return np.concatenate([lam * lam[..., [1, 2, 0]], lam * lam], axis=-1)
+
+
+def _coarse_midpoint_form(fw: np.ndarray, products: np.ndarray):
+    """Pair and corner entries of ``integral(f U V)`` for the coarse hats U, V.
+
+    ``fw`` is f times weight at every fine point; the coarse hats are the
+    barycentric coordinates of the ancestor, whose products ``products``
+    tabulates (see :func:`_descendant_products`).
+    """
+    moments = sum(
+        fw[m].reshape(-1, products.shape[1]) @ products[m] for m in range(3)
+    )
+    return moments.T[:3], moments.T[3:]
+
+
 def assemble_pencil(
-    mesh: Mesh, dofmap: np.ndarray | None, coeff: CoefficientField
-) -> tuple[sp.csr_array, sp.csr_array]:
+    mesh: Mesh,
+    dofmap: np.ndarray | None,
+    coeff: CoefficientField,
+    coarse: tuple[Mesh, np.ndarray | None] | None = None,
+) -> tuple:
     """Assemble the stiffness and mass matrices of ``coeff`` on ``mesh``.
 
     The stiffness form is ``integral(grad u . A grad v + phi u v)`` and the
@@ -201,25 +259,69 @@ def assemble_pencil(
     positive definite over interior dofs.  ``dofmap=None`` returns the full
     vertex matrices (the stiffness is singular for the pure gradient term:
     constants lie in its kernel).
+
+    ``coarse = (coarse_mesh, coarse_dofmap)`` names the mesh that ``mesh``
+    was refined from by :func:`~fmgeig.mesh.refine_regular`, any number of
+    times (``ValueError`` otherwise).  The result then also holds the dense
+    Galerkin blocks ``P' A P`` and ``P' B P``, with ``P`` interpolating the
+    coarse dofs onto ``mesh``, from the same quadrature values: the
+    descendants of coarse triangle ``t`` are a contiguous run of rows, the
+    coarse hats are linear on each, so the gradient term needs the weighted
+    folded tensor summed over the run, and the midpoint terms the products
+    of the coarse hats at the fine points (:func:`_descendant_products`).
     """
+    levels = None if coarse is None else _refinements(mesh, coarse[0])
     corners = np.ascontiguousarray(mesh.triangles.T)  # row i: corner i of each triangle
     scatter = _scatter_plan(mesh, dofmap, corners)
     ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, corners)
     det = ex[1] * ey[2] - ex[2] * ey[1]
-    tensor = _eval(coeff.a, qx, qy, "diffusion", (2, 2))
-    pair, corner = _folded_stiffness(tensor, ex, ey, det)
-    del tensor, ex, ey  # lowers the peak
-
     weight = det / 6.0  # area / 3
+    folded = _folded_tensor(_eval(coeff.a, qx, qy, "diffusion", (2, 2)))
     phi_vals = _eval(coeff.phi, qx, qy, "reaction")
-    if np.any(phi_vals):
-        reaction = _midpoint_form(phi_vals * weight)
-        pair += reaction[0]
-        corner += reaction[1]
+    reaction = phi_vals * weight if np.any(phi_vals) else None
+    rho_weight = _eval(coeff.rho, qx, qy, "mass weight") * weight
+    del qx, qy, phi_vals  # lowers the peak
+    if coarse is not None:
+        blocks = _coarse_blocks(*coarse, levels, folded, weight, reaction, rho_weight)
+    scale = 1.0 / (6.0 * det)
+    del det, weight
+    for s in folded:
+        s *= scale
+    del scale
+    pair, corner = _gradient_form(folded, ex, ey)
+    del folded, ex, ey
+    if reaction is not None:
+        extra = _midpoint_form(reaction)
+        pair += extra[0]
+        corner += extra[1]
+        del reaction, extra
     stiffness = scatter(pair, corner)
     del pair, corner
-    rho_vals = _eval(coeff.rho, qx, qy, "mass weight")
-    return stiffness, scatter(*_midpoint_form(rho_vals * weight))
+    pair, corner = _midpoint_form(rho_weight)
+    del rho_weight
+    mass = scatter(pair, corner)
+    return (stiffness, mass) if coarse is None else (stiffness, mass) + blocks
+
+
+def _coarse_blocks(coarse: Mesh, dofmap, levels, folded, weight, reaction, rho_weight):
+    """Dense stiffness and mass blocks over the coarse dofs from the fine
+    point values: the folded tensor, the weights, and f times weight of the
+    reaction (or None) and of the mass weight, ``levels`` refinements down.
+    """
+    products = _descendant_products(levels)
+    runs = weight.reshape(coarse.n_triangles, products.shape[1])
+    tensor = [np.einsum("td,td->t", s.reshape(runs.shape), runs) for s in folded]
+    corners = np.ascontiguousarray(coarse.triangles.T)
+    ex, ey, _, _ = _edges_and_midpoints(coarse.vertices, corners)
+    det = ex[1] * ey[2] - ex[2] * ey[1]
+    pair, corner = _gradient_form([s / det**2 for s in tensor], ex, ey)
+    if reaction is not None:
+        extra = _coarse_midpoint_form(reaction, products)
+        pair += extra[0]
+        corner += extra[1]
+    scatter = _scatter_plan(coarse, dofmap, corners)
+    mass = scatter(*_coarse_midpoint_form(rho_weight, products))
+    return scatter(pair, corner).toarray(), mass.toarray()
 
 
 def interpolate(mesh: Mesh, dofmap: np.ndarray, f) -> np.ndarray:

@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 1.15 KB per fine vertex (283-290 MiB at 263k
+#: Measured peak memory is about 1.11 KB per fine vertex (278-280 MiB at 263k
 #: vertices for the 7-level model problem from ``square:8``), so 2M vertices
-#: need about 2.3 GB, under a third of an 8 GB host.  The cap also keeps the
+#: need about 2.2 GB, under a third of an 8 GB host.  The cap also keeps the
 #: int32 connectivity and CSR index arrays of meshes and matrices in range.
 MAX_VERTICES = 2_000_000
 
@@ -258,6 +258,36 @@ def load_mesh(text: str) -> Mesh:
         raise MeshFormatError(str(exc)) from None
 
 
+def _children(corners, midpoints) -> np.ndarray:
+    """Corners of the four children of every triangle; row ``4t + c`` is child ``c`` of ``t``.
+
+    ``corners`` holds each triangle's corners 0, 1, 2 and ``midpoints`` the
+    midpoints of its local pairs (0, 1), (1, 2), (2, 0), one array each, as
+    vertex ids or as coordinates.  Child ``c < 3`` keeps corner ``c`` in
+    first place; child 3 is the triangle of midpoints.
+    """
+    c0, c1, c2 = corners
+    m01, m12, m20 = midpoints
+    children = [(c0, m01, m20), (c1, m12, m01), (c2, m20, m12), (m01, m12, m20)]
+    stacked = np.stack([np.stack(child, axis=1) for child in children], axis=1)
+    return stacked.reshape((-1,) + stacked.shape[2:])
+
+
+def _descendant_corners(levels: int) -> np.ndarray:
+    """Barycentric coordinates, in a triangle, of the corners of its descendants.
+
+    Row ``d`` of the ``(4**levels, 3, 3)`` result holds the corners of row
+    ``4**levels t + d`` after ``levels`` calls of :func:`refine_regular`,
+    in the coordinates of triangle ``t``: the same for every triangle, and
+    dyadic, hence exact.
+    """
+    corners = np.eye(3)[None]
+    for _ in range(levels):
+        by_corner = corners.transpose(1, 0, 2)
+        corners = _children(by_corner, 0.5 * (by_corner + by_corner[[1, 2, 0]]))
+    return corners
+
+
 def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
     """Split every triangle into four congruent children via edge midpoints.
 
@@ -288,16 +318,7 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
     # local in space; with child-major rows a fine-level matrix-vector
     # product touches about 1.4x as many cache lines of its input.
     mid = nv + triangle_edges
-    m01, m12, m20 = mid.T
-    children = np.stack(
-        [
-            np.column_stack([tri[:, 0], m01, m20]),
-            np.column_stack([tri[:, 1], m12, m01]),
-            np.column_stack([tri[:, 2], m20, m12]),
-            np.column_stack([m01, m12, m20]),
-        ],
-        axis=1,
-    ).reshape(-1, 3)
+    children = _children(tri.T, mid.T)
 
     # The half of pair k's edge e at corner k is 2e + s, s = 0 when corner k
     # is the smaller endpoint; the half at corner k + 1 is the other one.

@@ -4,14 +4,14 @@ The context assembles one stiffness and one mass matrix per hierarchy level,
 restricts the mesh prolongations to interior dofs (restriction is exactly
 the transpose, so coarse operators are the Galerkin products of fine ones on
 nested spaces with matching quadrature) and inverts the coarsest stiffness
-densely.  It also composes, once, the interior prolongation from the
-coarsest level to every level, which spans the coarse part of the augmented
-space of the eigenvalue correction step, and forms that space's two dense
-Galerkin blocks ``P_k' A_k P_k`` and ``P_k' B_k P_k`` on every level, so a
-correction step does no sparse-by-sparse product.  A V-cycle smooths,
-restricts the residual, recurses with an exact solve at the bottom, corrects
-and smooths again, on one vector or on all columns of an ``(n, q)`` block at
-once.
+densely.  The coarsest space, interpolated to level ``k`` by ``P_k``, is the
+coarse part of the augmented space of the eigenvalue correction step; the
+assembly of each level also returns that space's two dense Galerkin blocks
+``P_k' A_k P_k`` and ``P_k' B_k P_k`` from its own quadrature values, so
+set-up forms no ``P_k`` and does no sparse-by-sparse product.  A V-cycle
+smooths, restricts the residual, recurses with an exact solve at the
+bottom, corrects and smooths again, on one vector or on all columns of an
+``(n, q)`` block at once.
 
 One recursion serves two precisions, chosen by the right-hand side's dtype.
 The public :func:`v_cycle` runs in float64: it is LOBPCG's symmetric
@@ -75,9 +75,9 @@ class MGContext:
     dense inverse of the level-0 stiffness; unlike a triangular solve, its
     product with a block is fast on threaded BLAS.  ``coarse_stiffness[k]``
     and ``coarse_mass[k]`` are the dense ``n_0 x n_0`` blocks
-    ``P_k' A_k P_k`` and ``P_k' B_k P_k`` with ``P_k =
-    coarse_prolongation[k]``: the pencil of the coarse part of the
-    augmented space, which depends only on the level.
+    ``P_k' A_k P_k`` and ``P_k' B_k P_k``, with ``P_k`` the product
+    ``transfer[k-1] ... transfer[0]`` (never formed): the pencil of the
+    coarse part of the augmented space, which depends only on the level.
 
     ``single`` holds float32 copies of the stiffness matrices, transfers,
     ``inv_diag`` and ``coarse_inverse`` for the cycles inside
@@ -89,7 +89,6 @@ class MGContext:
     stiffness: list
     mass: list
     transfer: list          # interior-restricted prolongation, level k -> k+1
-    coarse_prolongation: list  # composed interior prolongation, level 0 -> k
     dofmaps: list           # interior vertex ids of each level, increasing
     nu: int
     inv_diag: list
@@ -127,9 +126,9 @@ def build_mg_context(
 
     Interior-restricted transfers are obtained by deleting boundary rows and
     columns of the mesh prolongations; interior basis functions vanish on
-    the boundary, so nothing is lost.  ``coarse_prolongation[k]`` is the
-    product ``T_{k-1} ... T_0`` of the transfers ``T_j = transfer[j]``,
-    formed coarse to fine (the identity at level 0).  A level 0 with more
+    the boundary, so nothing is lost.  The coarse blocks of level ``k >= 1``
+    come from its assembly (:func:`~fmgeig.fem.assemble_pencil` with the
+    coarse mesh); those of level 0 are its own matrices.  A level 0 with more
     than :data:`MAX_COARSE_DOFS` dofs raises ``ValueError`` before assembly.
     """
     if nu < 1:
@@ -143,25 +142,23 @@ def build_mg_context(
             "coarse mesh has %d interior dofs, above the dense-solve cap %d"
             % (len(dofmaps[0]), MAX_COARSE_DOFS)
         )
-    pencils = [assemble_pencil(m, dm, coeff) for m, dm in zip(hierarchy.meshes, dofmaps)]
-    stiffness, mass = map(list, zip(*pencils))
+    coarse = (hierarchy.meshes[0], dofmaps[0])
+    a_0, b_0 = assemble_pencil(*coarse, coeff)
+    levels = [(a_0, b_0, a_0.toarray(), b_0.toarray())]
+    levels += [
+        assemble_pencil(mesh, dofmap, coeff, coarse)
+        for mesh, dofmap in zip(hierarchy.meshes[1:], dofmaps[1:])
+    ]
+    stiffness, mass, coarse_stiffness, coarse_mass = map(list, zip(*levels))
     transfer = [
         full[dofmaps[k + 1]][:, dofmaps[k]]
         for k, full in enumerate(hierarchy.prolongations)
     ]
 
-    # P_1 = T_0 as is and P_k = T_{k-1} @ P_{k-1}; level 0 is the coarse space.
-    coarse_prolongation = [sp.eye_array(len(dofmaps[0]), format="csr")]
-    for k, op in enumerate(transfer):
-        coarse_prolongation.append(op @ coarse_prolongation[k] if k else op)
-    coarse_stiffness, coarse_mass = (
-        [(p.T @ (m @ p)).toarray() for p, m in zip(coarse_prolongation, matrices)]
-        for matrices in (stiffness, mass)
-    )
-
     inv_diag = [1.0 / a.diagonal() for a in stiffness]
+    # Every row holds its diagonal, so no row of the CSR data is empty.
     lambda_max = [
-        float((abs(a).sum(axis=1) * d).max(initial=0.0))
+        float((np.add.reduceat(np.abs(a.data), a.indptr[:-1]) * d).max(initial=0.0))
         for a, d in zip(stiffness, inv_diag)
     ]
 
@@ -174,7 +171,7 @@ def build_mg_context(
         coarse_inverse.astype(np.float32),
     )
     return MGContext(
-        stiffness, mass, transfer, coarse_prolongation, dofmaps, nu,
+        stiffness, mass, transfer, dofmaps, nu,
         inv_diag, lambda_max, coarse_inverse, coarse_stiffness, coarse_mass, single,
     )
 

@@ -79,6 +79,15 @@ def shuffled_meshes(sizes):
     )
 
 
+def folded_prolongation(ctx, level):
+    """Dense interpolation of the level-0 dofs onto ``level``: the transfers
+    folded from coarse to fine."""
+    fold = np.eye(ctx.n_dofs(0))
+    for op in ctx.transfer[:level]:
+        fold = op @ fold
+    return fold
+
+
 def first_eigenfunction(x, y):
     return 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
 

@@ -17,7 +17,7 @@ from fmgeig.eigsolver import GRAM_DROP_TOL, EigenApprox, augmented_ritz
 from fmgeig.errors import DegenerateAugmentationError, SolverError
 from fmgeig.linalg import sign_fix
 
-from conftest import leading_entry, shuffled_meshes, shuffled_square_mesh
+from conftest import folded_prolongation, leading_entry, shuffled_meshes, shuffled_square_mesh
 
 PI2 = np.pi**2
 
@@ -44,14 +44,14 @@ def reference_correction(ctx, approx, config):
     a_k, b_k = ctx.stiffness[k], ctx.mass[k]
     rhs = (b_k @ approx.vectors) * approx.eigenvalues
     smoothed = fg.mg_solve(ctx, k, rhs, approx.vectors, config.m)
-    prolong = ctx.coarse_prolongation[k]
+    prolong = folded_prolongation(ctx, k)
     n_h = prolong.shape[1]
     pencil = []
     for matrix in (a_k, b_k):
         mp = matrix @ prolong
         cross = mp.T @ smoothed
         full = np.block([
-            [(prolong.T @ mp).toarray(), cross],
+            [prolong.T @ mp, cross],
             [cross.T, smoothed.T @ (matrix @ smoothed)],
         ])
         pencil.append(0.5 * (full + full.T))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmgeig as fg
 from fmgeig import mesh as mesh_module
 from fmgeig.errors import MeshFormatError
 
-from conftest import mesh_text
+from conftest import mesh_text, shuffled_meshes
 
 
 def edge_counts(mesh):
@@ -261,6 +263,40 @@ class TestRefineRegular:
         coarse_vals = mesh.vertices[:, 0] + mesh.vertices[:, 1]
         fine_vals = fine.vertices[:, 0] + fine.vertices[:, 1]
         assert np.array_equal(op @ coarse_vals, fine_vals)
+
+
+class TestRefinementProperties:
+    """Nested refinement of random perturbed, vertex-shuffled meshes."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(mesh=shuffled_meshes(st.integers(1, 4)))
+    def test_descendants_lie_in_their_ancestor(self, mesh):
+        # Row 4**k t + i of level k descends from coarse triangle t: its
+        # centroid has barycentric coordinates in [0, 1] in triangle t.
+        hierarchy = fg.build_hierarchy(mesh, 3)
+        for k, fine in enumerate(hierarchy.meshes[1:], start=1):
+            centroid = fine.vertices[fine.triangles].mean(axis=1)
+            c0, c1, c2 = np.repeat(mesh.vertices[mesh.triangles], 4**k, axis=0).transpose(1, 0, 2)
+            sides = np.stack([c1 - c0, c2 - c0], axis=2)
+            l12 = np.linalg.solve(sides, (centroid - c0)[..., None])[..., 0]
+            bary = np.column_stack([1.0 - l12.sum(axis=1), l12])
+            assert bary.min() >= 0.0 and bary.max() <= 1.0
+
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        mesh=shuffled_meshes(st.integers(1, 4)),
+        coef=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    )
+    def test_prolongations_reproduce_linears(self, mesh, coef):
+        # Exact up to the round-off of the midpoint coordinates.
+        def linear(vertices):
+            return coef[0] + coef[1] * vertices[:, 0] + coef[2] * vertices[:, 1]
+
+        hierarchy = fg.build_hierarchy(mesh, 3)
+        bound = 1e-14 * (1.0 + sum(abs(c) for c in coef))
+        meshes = hierarchy.meshes
+        for op, coarse, fine in zip(hierarchy.prolongations, meshes, meshes[1:]):
+            assert np.abs(op @ linear(coarse.vertices) - linear(fine.vertices)).max() <= bound
 
 
 class TestInheritedTables:

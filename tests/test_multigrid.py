@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmgeig as fg
 from fmgeig import multigrid
+
+from conftest import folded_prolongation, mesh_text, shuffled_meshes
 
 
 def reference_solution(matrix, f):
@@ -86,20 +90,11 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             fg.build_mg_context(small_hierarchy, model_coeff, nu=2, smoother="sor")
 
-    def test_coarse_prolongation_is_folded_transfer(self, small_ctx):
-        fold = np.eye(small_ctx.n_dofs(0))
-        for k, op in enumerate(small_ctx.coarse_prolongation):
-            assert op.shape == (small_ctx.n_dofs(k), small_ctx.n_dofs(0))
-            assert np.array_equal(op.toarray(), fold)
-            if k < len(small_ctx.transfer):
-                fold = small_ctx.transfer[k] @ fold
-        assert len(small_ctx.coarse_prolongation) == small_ctx.n_levels
-
     @pytest.mark.parametrize("problem", ["model", "general"])
     def test_coarse_blocks_are_galerkin_products(self, small_ctx, general_ctx, problem):
         ctx = small_ctx if problem == "model" else general_ctx
-        for k, prolong in enumerate(ctx.coarse_prolongation):
-            dense = prolong.toarray()
+        for k in range(ctx.n_levels):
+            dense = folded_prolongation(ctx, k)
             for block, matrix in [
                 (ctx.coarse_stiffness[k], ctx.stiffness[k]),
                 (ctx.coarse_mass[k], ctx.mass[k]),
@@ -110,6 +105,30 @@ class TestBuildContext:
                 assert np.abs(block - block.T).max() <= 1e-13 * scale
         assert np.array_equal(ctx.coarse_stiffness[0], ctx.stiffness[0].toarray())
         assert np.array_equal(ctx.coarse_mass[0], ctx.mass[0].toarray())
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(mesh=shuffled_meshes(st.integers(2, 4)))
+    def test_coarse_blocks_on_random_meshes(self, mesh):
+        # Blocks from the fine quadrature against the folded P'AP and P'BP;
+        # the assembly refuses a coarse mesh the fine one was not refined from.
+        coeff = fg.general_problem().coefficients
+        hierarchy = fg.build_hierarchy(mesh, 3)
+        ctx = fg.build_mg_context(hierarchy, coeff, nu=2)
+        for k in range(1, ctx.n_levels):
+            dense = folded_prolongation(ctx, k)
+            for block, matrix in [
+                (ctx.coarse_stiffness[k], ctx.stiffness[k]),
+                (ctx.coarse_mass[k], ctx.mass[k]),
+            ]:
+                reference = dense.T @ (matrix @ dense)
+                assert np.abs(block - reference).max() <= 1e-13 * np.abs(reference).max()
+        rotated = fg.load_mesh(mesh_text(mesh.vertices, np.roll(mesh.triangles, 1, axis=1)))
+        fine, middle = hierarchy.meshes[2], hierarchy.meshes[1]
+        for child, coarse in [(fine, rotated), (middle, fine)]:
+            with pytest.raises(ValueError, match="not refined from"):
+                fg.assemble_pencil(
+                    child, None, coeff, (coarse, fg.interior_dofmap(coarse))
+                )
 
     def test_model_coarse_stiffness_blocks_equal_coarse_assembly(self, small_ctx):
         # Constant coefficients: P_k' A_k P_k is A_0 on every level.
