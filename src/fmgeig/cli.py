@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--direct-tol", type=float, default=1e-9,
-        help="direct baseline residual target, at least 1e-13;"
+        help="direct baseline residual target, at least 1e-12;"
         " -1e-9 and the like need --direct-tol=VALUE",
     )
     run.add_argument("--out", required=True, help="output CSV path")

@@ -168,7 +168,6 @@ def compute_errors(
     ctx: MGContext,
     reference: np.ndarray | None = None,
     method: str = "fmg",
-    work_units: float = 0.0,
     wall_ms: float = 0.0,
 ) -> StudyRow:
     """Measure eigenvalue and eigenfunction errors for one level's result.
@@ -210,7 +209,7 @@ def compute_errors(
         lambda_ref=None if reference is None else np.asarray(reference, dtype=float),
         abs_err=abs_err,
         energy_err=energy_err,
-        work_units=work_units,
+        work_units=approx.work_units,
         wall_ms=wall_ms,
     )
 
@@ -280,21 +279,16 @@ def run_study(
     t0 = time.perf_counter()
 
     def record(approx: EigenApprox) -> None:
-        snapshots.append(
-            (approx, ctx.work_units, 1000.0 * (time.perf_counter() - t0))
-        )
+        snapshots.append((approx, 1000.0 * (time.perf_counter() - t0)))
 
     full_multigrid(hierarchy, spec.coefficients, config, ctx=ctx, on_level=record)
 
     direct_results = []
     if compare_direct:
         for level in range(n_levels):
-            ctx.reset_work()
             t_level = time.perf_counter()
             approx = direct_fine_solve(ctx, config.q, direct_tol, level=level)
-            direct_results.append(
-                (approx, ctx.work_units, 1000.0 * (time.perf_counter() - t_level))
-            )
+            direct_results.append((approx, 1000.0 * (time.perf_counter() - t_level)))
 
     reference = None
     if spec.exact_eigenvalues is None and len(direct_results) >= 2:
@@ -307,16 +301,16 @@ def run_study(
     rows = [
         compute_errors(
             approx, spec, hierarchy, ctx,
-            reference=reference, method="fmg", work_units=work, wall_ms=ms,
+            reference=reference, method="fmg", wall_ms=ms,
         )
-        for approx, work, ms in snapshots
+        for approx, ms in snapshots
     ]
     rows.extend(
         compute_errors(
             approx, spec, hierarchy, ctx,
-            reference=reference, method="direct", work_units=work, wall_ms=ms,
+            reference=reference, method="direct", wall_ms=ms,
         )
-        for approx, work, ms in direct_results
+        for approx, ms in direct_results
     )
     if out_path is not None:
         _write_csv(out_path, rows)

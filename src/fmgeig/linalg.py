@@ -59,7 +59,7 @@ def generalized_eig_dense(
     if a.shape != (n, n) or b.shape != (n, n):
         raise ValueError("A and B must be square with matching shape")
     if not 1 <= q <= n:
-        raise ValueError("q must be in 1..%d, got %r" % (n, q))
+        raise ValueError("q must be in 1..%d, the dofs of the pencil, got %r" % (n, q))
 
     try:
         vals, vecs = scipy.linalg.eigh(a, b, subset_by_index=[0, q - 1])

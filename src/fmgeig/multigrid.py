@@ -27,8 +27,9 @@ The smoother is a Chebyshev polynomial of degree ``nu + 1`` in ``D^{-1} A``
 on ``[lam/8, lam]`` (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188,
 2003), with ``lam`` the Gershgorin bound of each level's ``D^{-1} A``.  It
 takes no inner products, so the V-cycle from a zero guess is a fixed linear
-symmetric operator.  A running counter accumulates smoothing work as sweeps
-times level dofs, the machine-independent cost measure of the harness.
+symmetric operator.  The context is immutable: solvers return their smoothing
+work (sweeps times level dofs, the harness's machine-independent cost measure,
+from :meth:`MGContext.cycle_work`) with their results.
 """
 
 from __future__ import annotations
@@ -63,15 +64,13 @@ class CycleOperators(NamedTuple):
     coarse_inverse: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class MGContext:
-    """Per-level operators and transfer maps for the V-cycle.
+    """Per-level operators and transfer maps for the V-cycle (immutable).
 
-    Immutable after construction apart from ``work_units``, the cumulative
-    smoothing-work counter (``nu`` times columns times level dof count per
-    smoothing).  ``inv_diag[k]`` is ``1 / diag(A_k)`` and ``lambda_max[k]``
-    the Gershgorin bound ``max_i sum_j |a_ij| / a_ii`` of ``D_k^{-1} A_k``,
-    the two things the Chebyshev smoother needs.  ``coarse_inverse`` is the
+    ``inv_diag[k]`` is ``1 / diag(A_k)`` and ``lambda_max[k]`` the Gershgorin
+    bound ``max_i sum_j |a_ij| / a_ii`` of ``D_k^{-1} A_k``, the two things
+    the Chebyshev smoother needs.  ``coarse_inverse`` is the
     dense inverse of the level-0 stiffness; unlike a triangular solve, its
     product with a block is fast on threaded BLAS.  ``coarse_stiffness[k]``
     and ``coarse_mass[k]`` are the dense ``n_0 x n_0`` blocks
@@ -97,7 +96,6 @@ class MGContext:
     coarse_stiffness: list  # dense P_k' A_k P_k of every level
     coarse_mass: list       # dense P_k' B_k P_k of every level
     single: CycleOperators  # float32 copies of the cycle's operators
-    work_units: float = 0.0
 
     @property
     def n_levels(self) -> int:
@@ -112,8 +110,11 @@ class MGContext:
     def n_dofs(self, level: int) -> int:
         return self.stiffness[level].shape[0]
 
-    def reset_work(self) -> None:
-        self.work_units = 0.0
+    def cycle_work(self, level: int) -> int:
+        """Smoothing work of one V-cycle from ``level`` on one column: two
+        smoothings of ``nu`` counted products on every level above the
+        coarsest (the residual products are not counted)."""
+        return 2 * self.nu * sum(self.n_dofs(k) for k in range(1, level + 1))
 
 
 def build_mg_context(
@@ -162,7 +163,7 @@ def build_mg_context(
         for a, d in zip(stiffness, inv_diag)
     ]
 
-    lower = cholesky_dense(stiffness[0].toarray())
+    lower = cholesky_dense(coarse_stiffness[0])
     coarse_inverse = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
     single = CycleOperators(
         [_float32_values(a) for a in stiffness],
@@ -207,7 +208,6 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> 
         step *= rho * rho_prev
         step += (2.0 * rho / delta * inv_diag) * residual
         x += step
-    ctx.work_units += ctx.nu * f.size
     return x
 
 

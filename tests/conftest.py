@@ -1,8 +1,17 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import fmgeig as fg
+
+# Property tests draw the same examples on every run, with no time limit and
+# no example database; each test sets only its own ``max_examples``.
+settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
@@ -72,11 +81,36 @@ def shuffled_square_mesh(nx, amplitude, seed):
     return fg.load_mesh(mesh_text((mesh.vertices + shift)[perm], tri))
 
 
+def benchmark_mesh(seed):
+    """The benchmark's seeded coarse mesh, from ``perfbench/meshgen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "meshgen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_meshgen", path)
+    meshgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(meshgen)
+    return fg.load_mesh(meshgen.coarse_square_text(seed))
+
+
 def shuffled_meshes(sizes):
     """Strategy of :func:`shuffled_square_mesh` with ``nx`` drawn from ``sizes``."""
     return st.builds(
         shuffled_square_mesh, sizes, st.floats(0.0, 0.3), st.integers(0, 2**32 - 1)
     )
+
+
+class CountingMatrix:
+    """A sparse matrix that counts its products with ``@``."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.matrix @ other
 
 
 def folded_prolongation(ctx, level):

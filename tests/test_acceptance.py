@@ -51,7 +51,7 @@ def model_run(model_coeff):
     config = fg.SolverConfig(q=1, m=2, p=2, nu=2)
     fg.full_multigrid(
         hier, model_coeff, config, ctx=ctx,
-        on_level=lambda a: snaps.append((a, ctx.work_units)),
+        on_level=lambda a: snaps.append((a, a.work_units)),
     )
     elapsed = time.perf_counter() - t0
     return {"hierarchy": hier, "ctx": ctx, "snaps": snaps, "elapsed": elapsed}

@@ -109,7 +109,7 @@ class TestAssemblePencil:
         assert mass.nnz == np.count_nonzero(expected[1])
         assert np.array_equal(stiffness.indices, mass.indices)
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=25)
     @given(
         mesh=shuffled_meshes(st.integers(1, 4)),
         tensor=st.one_of(st.none(), constant_spd_tensors()),
@@ -162,7 +162,7 @@ RECORDED_DIGESTS = {
 
 
 class TestSharedStructure:
-    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=10)
     @given(mesh=shuffled_meshes(st.integers(1, 4)), interior=st.booleans())
     def test_pencil_shares_index_arrays(self, mesh, interior):
         dofmap = fg.interior_dofmap(mesh) if interior else None

@@ -268,7 +268,7 @@ class TestRefineRegular:
 class TestRefinementProperties:
     """Nested refinement of random perturbed, vertex-shuffled meshes."""
 
-    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=15)
     @given(mesh=shuffled_meshes(st.integers(1, 4)))
     def test_descendants_lie_in_their_ancestor(self, mesh):
         # Row 4**k t + i of level k descends from coarse triangle t: its
@@ -282,7 +282,7 @@ class TestRefinementProperties:
             bary = np.column_stack([1.0 - l12.sum(axis=1), l12])
             assert bary.min() >= 0.0 and bary.max() <= 1.0
 
-    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=15)
     @given(
         mesh=shuffled_meshes(st.integers(1, 4)),
         coef=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
@@ -297,6 +297,23 @@ class TestRefinementProperties:
         meshes = hierarchy.meshes
         for op, coarse, fine in zip(hierarchy.prolongations, meshes, meshes[1:]):
             assert np.abs(op @ linear(coarse.vertices) - linear(fine.vertices)).max() <= bound
+
+    @settings(max_examples=10)
+    @given(mesh=shuffled_meshes(st.integers(1, 4)))
+    def test_levels_conform_with_spd_pencils(self, mesh):
+        # Rebuilding a level from its vertices and triangles alone checks
+        # conformity and gives the inherited edge set; the interior pencil
+        # of both problems is exactly symmetric and positive definite.
+        problems = (fg.laplace_coefficients(), fg.general_problem().coefficients)
+        for level in fg.build_hierarchy(mesh, 3).meshes:
+            twin = mesh_module._build_mesh(level.vertices, level.triangles)
+            assert np.array_equal(edge_keys(level), edge_keys(twin))
+            dofmap = fg.interior_dofmap(level)
+            for coeff in problems:
+                for matrix in fg.assemble_pencil(level, dofmap, coeff):
+                    dense = matrix.toarray()
+                    assert np.array_equal(dense, dense.T)
+                    fg.cholesky_dense(dense)
 
 
 class TestInheritedTables:
