@@ -3,7 +3,12 @@
 Example::
 
     fmg-eig run --problem model --mesh square:8 --levels 5 --nev 6 \\
-        --m 2 --p 2 --smooth 2 --compare-direct --out results.csv
+        --m 1 --p 2 --smooth 2 --compare-direct --out results.csv
+
+``--m``, ``--p`` and ``--smooth`` default to the fields of
+:class:`~fmgeig.eigsolver.SolverConfig`: one V-cycle per correction step
+(a second buys almost no accuracy; see ``SolverConfig``), two correction
+steps per level and two smoothing steps.
 
 Exit codes: 0 success, 2 argument or input error, 3 solver failure,
 4 I/O failure.
@@ -63,9 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--levels", type=int, default=5, help="hierarchy depth")
     run.add_argument("--nev", type=int, default=1, help="number of eigenpairs")
-    run.add_argument("--m", type=int, default=2, help="V-cycles per correction")
-    run.add_argument("--p", type=int, default=2, help="correction steps per level")
-    run.add_argument("--smooth", type=int, default=2, help="smoothing steps")
+    defaults = SolverConfig()
+    run.add_argument(
+        "--m", type=int, default=defaults.m, help="V-cycles per correction (default %(default)s)"
+    )
+    run.add_argument(
+        "--p", type=int, default=defaults.p, help="correction steps per level (default %(default)s)"
+    )
+    run.add_argument(
+        "--smooth", type=int, default=defaults.nu, help="smoothing steps (default %(default)s)"
+    )
     run.add_argument(
         "--compare-direct",
         action="store_true",

@@ -177,6 +177,22 @@ class TestCLI:
         assert code == 0
         assert data_lines(out.read_text())[0] == CSV_HEADER
 
+    @pytest.mark.parametrize("nev", [1, 3])
+    def test_solver_flags_default_to_solver_config(self, tmp_path, monkeypatch, nev):
+        configs = []
+
+        def recording_fmg(hierarchy, coeff, config, *args, **kwargs):
+            configs.append(config)
+            return fg.full_multigrid(hierarchy, coeff, config, *args, **kwargs)
+
+        monkeypatch.setattr("fmgeig.harness.full_multigrid", recording_fmg)
+        code = main([
+            "run", "--problem", "model", "--mesh", "square:4", "--levels", "2",
+            "--nev", str(nev), "--out", str(tmp_path / "cli.csv"),
+        ])
+        assert code == 0
+        assert configs == [fg.SolverConfig(q=nev)]
+
     def test_mesh_file_input(self, tmp_path):
         mesh_path = tmp_path / "coarse.mesh"
         # The unit square in 2 x 2 cells, each split along its rising diagonal.

@@ -49,6 +49,16 @@ def edge_keys(mesh):
     return np.sort(mesh.edges[:, 0].astype(np.int64) * mesh.n_vertices + mesh.edges[:, 1])
 
 
+def edges_on_square_sides(mesh):
+    """Flags of the edges with both endpoints on one side of the unit square."""
+    ends = mesh.vertices[mesh.edges]
+    on_side = np.zeros(len(mesh.edges), dtype=bool)
+    for axis in (0, 1):
+        for value in (0.0, 1.0):
+            on_side |= (ends[:, :, axis] == value).all(axis=1)
+    return on_side
+
+
 def triangle_set(mesh):
     """Triangles as rows rotated to start at their smallest vertex, sorted."""
     tri = mesh.triangles
@@ -194,11 +204,7 @@ class TestEdgeTable:
         mesh = table_mesh
         owners = np.bincount(mesh.triangle_edges.ravel(), minlength=len(mesh.edges))
         assert owners.min() >= 1 and owners.max() <= 2
-        ends = mesh.vertices[mesh.edges]
-        on_side = np.zeros(len(mesh.edges), dtype=bool)
-        for axis in (0, 1):
-            for value in (0.0, 1.0):
-                on_side |= (ends[:, :, axis] == value).all(axis=1)
+        on_side = edges_on_square_sides(mesh)
         assert np.array_equal(owners == 1, on_side)
         flags = np.zeros(mesh.n_vertices, dtype=bool)
         flags[mesh.edges[owners == 1].ravel()] = True
@@ -301,13 +307,19 @@ class TestRefinementProperties:
     @settings(max_examples=10)
     @given(mesh=shuffled_meshes(st.integers(1, 4)))
     def test_levels_conform_with_spd_pencils(self, mesh):
-        # Rebuilding a level from its vertices and triangles alone checks
-        # conformity and gives the inherited edge set; the interior pencil
-        # of both problems is exactly symmetric and positive definite.
+        # Every level stays conforming: an edge inside the square has two
+        # owners and one on its sides (whose vertices never move) has one, and
+        # the inherited edge set is the one _edge_table finds in the level's
+        # triangles.  The interior pencil of both problems is exactly
+        # symmetric and positive definite.
         problems = (fg.laplace_coefficients(), fg.general_problem().coefficients)
         for level in fg.build_hierarchy(mesh, 3).meshes:
-            twin = mesh_module._build_mesh(level.vertices, level.triangles)
-            assert np.array_equal(edge_keys(level), edge_keys(twin))
+            owners = np.bincount(level.triangle_edges.ravel(), minlength=len(level.edges))
+            assert np.array_equal(owners, np.where(edges_on_square_sides(level), 1, 2))
+            table, _, counts = mesh_module._edge_table(level.triangles, level.n_vertices)
+            order = np.lexsort(level.edges.T[::-1])  # _edge_table's lexicographic order
+            assert np.array_equal(level.edges[order], table)
+            assert np.array_equal(owners[order], counts)
             dofmap = fg.interior_dofmap(level)
             for coeff in problems:
                 for matrix in fg.assemble_pencil(level, dofmap, coeff):
