@@ -7,11 +7,11 @@ correction step runs ``m`` V-cycles on the auxiliary source problem
 
     A_k u_new = lambda_j * B_k u_j    (initial guess u_j)
 
-for all tracked pairs at once, as one block of V-cycles, then solves a
-small dense eigenproblem on the coarse space augmented with the smoothed
-vectors and maps the Ritz pairs back to the fine level.  The cost is
-dominated by the V-cycles, so the full sweep over levels is linear in the
-finest dof count.
+for all tracked pairs at once, as one block of V-cycles on the defects
+``lambda_j B_k u_j - A_k u_j``, then solves a small dense eigenproblem on
+the coarse space augmented with the smoothed vectors and maps the Ritz
+pairs back to the fine level.  The cost is dominated by the V-cycles, so
+the full sweep over levels is linear in the finest dof count.
 
 Returned blocks are orthonormal in the mass inner product, with eigenvalues
 in ascending order.  In each vector the first entry within a relative 1e-8
@@ -181,13 +181,14 @@ def one_correction_step(
 ) -> EigenApprox:
     """Improve the eigenpairs on their level by one multigrid correction.
 
-    ``m`` block V-cycles approximate the auxiliary source problems with
-    right-hand sides ``lambda_j B u_j``; the coarse space plus the span of
-    the smoothed vectors then yields new Ritz pairs.  Exact eigenpairs are a
-    fixed point.  The input block needs full rank, not orthonormality.  The
-    Ritz vectors are mass-orthonormal up to round-off that the conditioning
-    of the augmented mass matrix amplifies (``GRAM_DROP_TOL`` caps it), and
-    one Cholesky-QR pass in the mass inner product removes that drift.
+    ``m`` block V-cycles on the defects of the auxiliary source problems,
+    with right-hand sides ``lambda_j B u_j``, correct the ``u_j``; the coarse
+    space plus the span of the smoothed vectors then yields new Ritz pairs.
+    Exact eigenpairs are a fixed point.  The input block needs full rank,
+    not orthonormality.  The Ritz vectors are mass-orthonormal up to
+    round-off that the conditioning of the augmented mass matrix amplifies
+    (``GRAM_DROP_TOL`` caps it), and one Cholesky-QR pass in the mass inner
+    product removes that drift.
     The result's work is the input's plus that of the ``m`` cycles.
     Raises :class:`SolverError` when the cycles increase the residual of any
     pair or make it non-finite.
@@ -199,11 +200,10 @@ def one_correction_step(
     b_k = ctx.mass[k]
 
     rhs = (b_k @ approx.vectors) * approx.eigenvalues
-    # The cycles solve for the correction of u_j from a zero guess, so they
-    # start from this defect instead of forming it again.
+    # The guard's "before" residual is also the right-hand side of the cycles.
     defect = rhs - a_k @ approx.vectors
     before = np.linalg.norm(defect, axis=0)
-    smoothed = mg_solve(ctx, k, defect, np.zeros_like(defect), config.m)
+    smoothed = mg_solve(ctx, k, defect, config.m)
     smoothed += approx.vectors
     a_s = a_k @ smoothed
     after = np.linalg.norm(rhs - a_s, axis=0)
@@ -285,8 +285,9 @@ def direct_fine_solve(
     :func:`scipy.sparse.linalg.lobpcg` iterates a block of ``q + 2``
     columns (Knyazev 2001); the guard columns beyond ``q`` keep clustered
     eigenvalues converging at the rate of the next spectral gap.  The
-    preconditioner, one V-cycle from a zero guess, is a fixed symmetric
-    positive definite operator, as LOBPCG's theory assumes.  The
+    preconditioner, one float64 V-cycle from a zero guess on the residual
+    block, is a fixed symmetric positive definite operator, as LOBPCG's
+    theory assumes.  The
     starting block is the ``q + 2`` lowest dense eigenvectors of the first
     level with that many dofs, prolongated to ``level``: the same functions
     whatever the vertex numbering, so the iteration does not depend on it.
@@ -316,7 +317,7 @@ def direct_fine_solve(
     def precondition(r):
         nonlocal columns
         columns += r.size // n
-        return v_cycle(ctx, level, r, np.zeros_like(r))
+        return v_cycle(ctx, level, r)
 
     for _ in range(DIRECT_ATTEMPTS):
         vals, block = scipy.sparse.linalg.lobpcg(

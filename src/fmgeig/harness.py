@@ -86,7 +86,8 @@ def model_exact_data(q: int):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    # The q-th smallest i^2 + j^2 never exceeds 2q, so this span is safe.
+    # The q-th smallest i^2 + j^2 is at most 2q + 1 (5 at q=2; about 4q/pi for
+    # large q), so no index it needs exceeds sqrt(2q) and this span is safe.
     span = int(np.ceil(np.sqrt(2.0 * q))) + 2
     pairs = sorted(
         ((i * i + j * j, i, j) for i in range(1, span + 1) for j in range(1, span + 1))

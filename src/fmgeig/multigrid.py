@@ -13,9 +13,11 @@ smooths, restricts the residual, recurses with an exact solve at the
 bottom, corrects and smooths again, on one vector or on all columns of an
 ``(n, q)`` block at once.
 
-One recursion serves two precisions, chosen by the right-hand side's dtype.
-The public :func:`v_cycle` runs in float64: it is LOBPCG's symmetric
-preconditioner.  :func:`mg_solve` is a float64 defect correction around
+Both solvers start from a zero guess; a solve from an iterate ``x`` is
+``x`` plus a solve on the defect ``f - A_k x``.  One recursion serves two
+precisions, chosen by the right-hand side's dtype.  The public
+:func:`v_cycle` runs in float64: it is LOBPCG's symmetric preconditioner.
+:func:`mg_solve` is a float64 defect correction around
 float32 cycles on float32 copies of the operators, which share the index
 arrays of the float64 ones: the cycles are bound by the memory traffic of
 their sparse products, and float32 values halve it.  The correction step
@@ -195,8 +197,8 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> 
     Saad's three-term recurrence (Iterative Methods, Alg. 12.1) for
     ``D^{-1} A_k`` on ``[lam/8, lam]``: one residual, then ``nu`` updates of
     one product with ``A_k`` each, for a polynomial of degree ``nu + 1``.
-    ``x`` is updated in place; ``None`` stands for a zero guess, whose
-    residual is ``f`` itself, so it costs no product.
+    ``x`` is updated in place; ``None``, the cycle's pre-smoothing guess,
+    stands for zero, whose residual is ``f`` itself: it costs no product.
     """
     ops = ctx.operators(f.dtype)
     matrix = ops.stiffness[level]
@@ -216,15 +218,15 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> 
     return x
 
 
-def _cycle(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> np.ndarray:
-    """The V-cycle recursion in the precision of ``f``; ``x`` as in :func:`_smooth`."""
+def _cycle(ctx: MGContext, level: int, f: np.ndarray) -> np.ndarray:
+    """The V-cycle recursion from a zero guess, in the precision of ``f``."""
     ops = ctx.operators(f.dtype)
     if level == 0:
         return ops.coarse_inverse @ f
-    x = _smooth(ctx, level, f, x)
+    x = _smooth(ctx, level, f, None)
     residual = f - ops.stiffness[level] @ x
-    correction = _cycle(ctx, level - 1, ops.transfer[level - 1].T @ residual, None)
-    x += ops.transfer[level - 1] @ correction
+    transfer = ops.transfer[level - 1]
+    x += transfer @ _cycle(ctx, level - 1, transfer.T @ residual)
     return _smooth(ctx, level, f, x)
 
 
@@ -233,37 +235,33 @@ def _check_level(ctx: MGContext, level: int) -> None:
         raise ValueError("level %d out of range 0..%d" % (level, ctx.n_levels - 1))
 
 
-def v_cycle(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One float64 V-cycle for the level system, starting from iterate ``x``.
+def v_cycle(ctx: MGContext, level: int, f: np.ndarray) -> np.ndarray:
+    """One float64 V-cycle from a zero guess for the level system ``A_k x = f``.
 
-    ``f`` and ``x`` are vectors or ``(n, q)`` blocks of independent columns.
-    At the coarsest level this is an exact dense solve.  The input arrays
-    are not modified.
+    ``f`` is a vector or an ``(n, q)`` block of independent columns, and is
+    not modified.  At the coarsest level this is an exact dense solve.  A
+    cycle from an iterate ``x`` is ``x + v_cycle(ctx, level, f - A_k @ x)``.
     """
     _check_level(ctx, level)
-    return _cycle(ctx, level, np.asarray(f, dtype=float), np.array(x, dtype=float))
+    return _cycle(ctx, level, np.asarray(f, dtype=float))
 
 
-def mg_solve(
-    ctx: MGContext, level: int, f: np.ndarray, x0: np.ndarray, m: int
-) -> np.ndarray:
-    """Apply ``m`` mixed-precision V-cycles starting from ``x0`` (a vector or a block).
+def mg_solve(ctx: MGContext, level: int, f: np.ndarray, m: int) -> np.ndarray:
+    """Apply ``m`` mixed-precision V-cycles from a zero guess (a vector or a block).
 
-    Each cycle forms the defect ``f - A_k x`` in float64, runs one float32
-    V-cycle from a zero guess on it and adds the result to ``x`` (defect
-    correction), so the iterate and its defects keep float64 accuracy.  A
-    zero ``x0`` makes ``f`` the first defect, with no product: with ``m=1``,
-    the correction step's default, the solve is one float32 cycle on ``f``.
-    This is the approximate boundary-value solve of the eigenvalue correction
-    step.
+    The first cycle is one float32 V-cycle on ``f``.  Each further cycle
+    forms the defect ``f - A_k x`` in float64 and adds a float32 cycle on it
+    to ``x`` (defect correction), so the iterate and its defects keep
+    float64 accuracy.  With ``m=1``, the correction step's default, the
+    solve forms no float64 product.  This is the approximate
+    boundary-value solve of the eigenvalue correction step, which passes
+    the defect of its current vectors as ``f``.
     """
     if m < 1:
         raise ValueError("m must be >= 1, got %r" % (m,))
     _check_level(ctx, level)
-    matrix = ctx.stiffness[level]
     f = np.asarray(f, dtype=float)
-    x = np.array(x0, dtype=float)
-    for cycle in range(m):
-        defect = f - matrix @ x if cycle or x.any() else f
-        x += _cycle(ctx, level, defect.astype(np.float32), None)
+    x = _cycle(ctx, level, f.astype(np.float32)).astype(float)
+    for _ in range(m - 1):
+        x += _cycle(ctx, level, (f - ctx.stiffness[level] @ x).astype(np.float32))
     return x

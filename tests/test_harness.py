@@ -43,6 +43,14 @@ class TestModelExactData:
         assert len(funcs) == 30
         assert np.all(np.diff(vals) >= 0)
         assert abs(vals[6] - 13 * PI2) < 1e-12
+        # Against brute force on a range wide enough for every q here.  At
+        # q=2 the q-th smallest i^2 + j^2 is 5, above 2q.
+        brute = sorted((i * i + j * j, i, j) for i in range(1, 80) for j in range(1, 80))
+        for q in (2, 30, 2000):
+            vals, funcs = fg.model_exact_data(q)
+            assert np.array_equal(vals, [PI2 * s for s, _, _ in brute[:q]])
+            for fn, (_, i, j) in zip(funcs, brute[:q], strict=True):
+                assert fn(0.3, 0.7) == 2.0 * np.sin(i * np.pi * 0.3) * np.sin(j * np.pi * 0.7)
 
 
 class TestExtrapolation:
