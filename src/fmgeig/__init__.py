@@ -52,6 +52,6 @@ from .mesh import (
     triangle_areas,
     unit_square_mesh,
 )
-from .multigrid import MGContext, build_mg_context, mg_solve, v_cycle
+from .multigrid import MGContext, build_mg_context, mg_solve
 
 __version__ = "0.1.0"

@@ -18,23 +18,25 @@ in ascending order.  In each vector the first entry within a relative 1e-8
 of the largest magnitude is positive, a sign convention that entries tied up
 to round-off cannot flip.
 :func:`direct_fine_solve` provides an independent baseline: LOBPCG on the
-fine-level pencil with one block V-cycle as preconditioner.
+fine-level pencil with one float32 block V-cycle as preconditioner.
 """
 
 from __future__ import annotations
 
+import threading
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
+from scipy.sparse.linalg import lobpcg
 
 from .errors import ConvergenceError, DegenerateAugmentationError, SolverError
 from .fem import CoefficientField
 from .linalg import cholesky_dense, generalized_eig_dense, sign_fix
 from .mesh import MeshHierarchy
-from .multigrid import MGContext, build_mg_context, mg_solve, v_cycle
+from .multigrid import MGContext, _check_level, build_mg_context, mg_solve
 
 __all__ = [
     "EigenApprox",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 #: Iteration cap of one LOBPCG call in :func:`direct_fine_solve` (converged
-#: runs take 20-40 iterations on every level).
+#: runs take 10-35 iterations on every level).
 DIRECT_MAX_ITERS = 100
 #: Smallest residual target :func:`~fmgeig.harness.run_study` accepts for the
 #: baseline.  LOBPCG can stall above 1e-13 of max|A| (1.7e-13 and 3.4e-13 on
@@ -57,6 +59,10 @@ DIRECT_TOL_FLOOR = 1e-12
 #: below, soft locking can stall a call above the target; a second call from
 #: the returned block restarts the search directions and gets there.
 DIRECT_ATTEMPTS = 2
+#: Held around each LOBPCG call of :func:`direct_fine_solve`, which changes
+#: the process-wide warning filters: the ``catch_warnings`` blocks of two
+#: threads, interleaved, would leave one thread's filter installed for good.
+_LOBPCG_LOCK = threading.Lock()
 #: Relative pivot threshold below which :func:`one_correction_step` drops
 #: augmented-basis columns as numerically dependent.
 GRAM_DROP_TOL = 1e-12
@@ -128,6 +134,11 @@ def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ik->jk", left, right)
 
 
+def _column_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every column of an ``(n, q)`` block, in one pass."""
+    return np.sqrt(np.einsum("ij,ij->j", block, block))
+
+
 def _prolongate(ctx: MGContext, block: np.ndarray, start: int, level: int) -> np.ndarray:
     """``block`` on level ``start`` interpolated to ``level`` through the transfers."""
     for op in ctx.transfer[start:level]:
@@ -145,6 +156,7 @@ def _restrict(ctx: MGContext, block: np.ndarray, level: int) -> np.ndarray:
 
 def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
     """Dense solve of the level pencil for the ``q`` smallest eigenpairs."""
+    _check_level(ctx, level)
     a, b = ctx.stiffness[level].toarray(), ctx.mass[level].toarray()
     return EigenApprox(level, *generalized_eig_dense(a, b, q))
 
@@ -202,12 +214,12 @@ def one_correction_step(
     rhs = (b_k @ approx.vectors) * approx.eigenvalues
     # The guard's "before" residual is also the right-hand side of the cycles.
     defect = rhs - a_k @ approx.vectors
-    before = np.linalg.norm(defect, axis=0)
+    before = _column_norms(defect)
     smoothed = mg_solve(ctx, k, defect, config.m)
     smoothed += approx.vectors
     a_s = a_k @ smoothed
-    after = np.linalg.norm(rhs - a_s, axis=0)
-    floor = 1e-12 * np.linalg.norm(rhs, axis=0)
+    after = _column_norms(rhs - a_s)
+    floor = 1e-12 * _column_norms(rhs)
     # Negated so that a NaN residual counts as divergence.
     diverged = np.flatnonzero(~(after <= np.maximum(before * (1.0 + 1e-8), floor)))
     if diverged.size:
@@ -282,27 +294,36 @@ def direct_fine_solve(
 ) -> EigenApprox:
     """Baseline solver: LOBPCG on the level pencil, preconditioned by one V-cycle.
 
-    :func:`scipy.sparse.linalg.lobpcg` iterates a block of ``q + 2``
-    columns (Knyazev 2001); the guard columns beyond ``q`` keep clustered
-    eigenvalues converging at the rate of the next spectral gap.  The
-    preconditioner, one float64 V-cycle from a zero guess on the residual
-    block, is a fixed symmetric positive definite operator, as LOBPCG's
-    theory assumes.  The
-    starting block is the ``q + 2`` lowest dense eigenvectors of the first
-    level with that many dofs, prolongated to ``level``: the same functions
-    whatever the vertex numbering, so the iteration does not depend on it.
-    LOBPCG's final Rayleigh-Ritz step leaves its block mass-orthonormal, and
-    the first ``q`` columns are returned as they are, up to sign.
-    The returned pairs satisfy ``|A u - lambda B u| <= tol * max|A|``, or
-    :class:`ConvergenceError` is raised after ``DIRECT_ATTEMPTS`` calls.
-    The result's work is one cycle per column preconditioned.  A level with
-    fewer than ``5 (q + 2)`` dofs, too small for the block iteration, is
-    solved densely, with no work.
+    A level with fewer than ``5 (q + 2)`` dofs, too small for the block
+    iteration, is solved densely, with no work.  Otherwise
+    :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates a block of
+    ``w`` columns started from the ``w`` lowest dense eigenvectors of the
+    first level with ``q + 3`` dofs, prolongated to ``level``: the same
+    functions whatever the vertex numbering, so the iteration does not
+    depend on it.  LOBPCG stops only when every column has converged, at the
+    rate of the gap after the block, so ``w`` in ``{q, q+1, q+2}`` minimises
+    ``lambda_w / lambda_{w+1}`` of those dense eigenvalues (the smallest
+    ``w`` on ties).  On the model problem with q=5, ``q + 2`` columns split
+    the double eigenvalue ``13 pi^2``; the rule takes 6, and level 4 of the
+    benchmark's seed-1 mesh takes 17 iterations instead of 64 at ``tol=1e-9``.
+    The preconditioner, one float32 V-cycle from a zero guess on the
+    residual block (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is a
+    fixed operator, symmetric positive definite up to float32 round-off, as
+    LOBPCG's theory assumes.  LOBPCG's final Rayleigh-Ritz step leaves its
+    block mass-orthonormal, and the first ``q`` columns are returned as they
+    are, up to sign.  The returned pairs satisfy
+    ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError` is
+    raised after ``DIRECT_ATTEMPTS`` calls.  This check alone decides: the
+    ``UserWarning`` of a call that stops above its target is ignored, which
+    changes the process-wide warning filters while the call runs, so
+    concurrent solves take turns at LOBPCG.  The result's work is one cycle
+    per column preconditioned.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     if level is None:
         level = ctx.n_levels - 1
+    _check_level(ctx, level)
     a = ctx.stiffness[level]
     b = ctx.mass[level]
     n = a.shape[0]
@@ -310,20 +331,25 @@ def direct_fine_solve(
         return coarse_eigensolve(ctx, q, level)
     a_scale = float(np.abs(a.data).max())
 
-    start = next(k for k in range(level + 1) if ctx.n_dofs(k) >= q + 2)
-    block = _prolongate(ctx, coarse_eigensolve(ctx, q + 2, start).vectors, start, level)
+    start = next(k for k in range(level + 1) if ctx.n_dofs(k) >= q + 3)
+    dense = coarse_eigensolve(ctx, q + 3, start)
+    lam = dense.eigenvalues
+    width = q + int(np.argmin(lam[q - 1 : q + 2] / lam[q : q + 3]))
+    block = _prolongate(ctx, dense.vectors[:, :width], start, level)
     columns = 0
 
     def precondition(r):
         nonlocal columns
         columns += r.size // n
-        return v_cycle(ctx, level, r)
+        return mg_solve(ctx, level, r, 1)
 
     for _ in range(DIRECT_ATTEMPTS):
-        vals, block = scipy.sparse.linalg.lobpcg(
-            a, block, B=b, M=precondition,
-            tol=0.1 * tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
-        )
+        with _LOBPCG_LOCK, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            vals, block = lobpcg(
+                a, block, B=b, M=precondition,
+                tol=0.1 * tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
+            )
         order = np.argsort(vals)
         vals, block = vals[order], block[:, order]
         vecs = sign_fix(block[:, :q].copy())

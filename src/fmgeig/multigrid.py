@@ -13,17 +13,16 @@ smooths, restricts the residual, recurses with an exact solve at the
 bottom, corrects and smooths again, on one vector or on all columns of an
 ``(n, q)`` block at once.
 
-Both solvers start from a zero guess; a solve from an iterate ``x`` is
-``x`` plus a solve on the defect ``f - A_k x``.  One recursion serves two
-precisions, chosen by the right-hand side's dtype.  The public
-:func:`v_cycle` runs in float64: it is LOBPCG's symmetric preconditioner.
-:func:`mg_solve` is a float64 defect correction around
-float32 cycles on float32 copies of the operators, which share the index
-arrays of the float64 ones: the cycles are bound by the memory traffic of
-their sparse products, and float32 values halve it.  The correction step
-only needs its smoothed vectors to span a good space, so float32 round-off
-moves its eigenvalues by about float32 epsilon times the algebraic error the
-step leaves (Tamstorf, Benzaken & McCormick, SIAM J. Sci. Comput. 43, 2021).
+A solve starts from a zero guess; a solve from an iterate ``x`` is ``x``
+plus a solve on the defect ``f - A_k x``.  :func:`mg_solve` is a float64
+defect correction around float32 cycles on float32 copies of the operators,
+which share the index arrays of the float64 ones: the cycles are bound by
+the memory traffic of their sparse products, and float32 values halve it.
+One such cycle is both the correction step's solve and LOBPCG's
+preconditioner in the direct baseline.  The correction step only needs its
+smoothed vectors to span a good space, so float32 round-off moves its
+eigenvalues by about float32 epsilon times the algebraic error the step
+leaves (Tamstorf, Benzaken & McCormick, SIAM J. Sci. Comput. 43, 2021).
 With the default single cycle (``m=1``) there is no float64 correction of
 the float32 cycle.  On the 961-dof general test hierarchy the eigenvalues
 then drift from a float64 run by up to 4.3e-11 relative, about six float32
@@ -34,7 +33,7 @@ The smoother is a Chebyshev polynomial of degree ``nu + 1`` in ``D^{-1} A``
 on ``[lam/8, lam]`` (Adams, Brezina, Hu & Tuminaro, J. Comput. Phys. 188,
 2003), with ``lam`` the Gershgorin bound of each level's ``D^{-1} A``.  It
 takes no inner products, so the V-cycle from a zero guess is a fixed linear
-symmetric operator.  The context is immutable: solvers return their smoothing
+operator, symmetric up to float32 round-off.  The context is immutable: solvers return their smoothing
 work (sweeps times level dofs, the harness's machine-independent cost measure,
 from :meth:`MGContext.cycle_work`) with their results.
 """
@@ -42,7 +41,6 @@ from :meth:`MGContext.cycle_work`) with their results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -52,44 +50,34 @@ from .fem import CoefficientField, assemble_pencil, interior_dofmap
 from .linalg import cholesky_dense
 from .mesh import MeshHierarchy
 
-__all__ = ["MGContext", "build_mg_context", "v_cycle", "mg_solve"]
+__all__ = ["MGContext", "build_mg_context", "mg_solve"]
 
 #: Largest level-0 dof count :func:`build_mg_context` accepts.  Every
 #: correction step solves a dense pencil of ``n_0 + q`` rows: a q=6 ``eigh``
 #: took 0.71 s at 2025 dofs and 5.2 s at 3969 dofs on a 2-core host.  The
 #: context also holds two dense ``n_0 x n_0`` blocks per level, 64 MB per
-#: level at the cap, and the coarse inverse in float64 and float32, 48 MB.
+#: level at the cap, and the float32 coarse inverse, 16 MB.
 MAX_COARSE_DOFS = 2000
-
-
-class CycleOperators(NamedTuple):
-    """What a V-cycle reads, in one precision (see :meth:`MGContext.operators`)."""
-
-    stiffness: list
-    transfer: list
-    inv_diag: list
-    coarse_inverse: np.ndarray
 
 
 @dataclass(frozen=True)
 class MGContext:
     """Per-level operators and transfer maps for the V-cycle (immutable).
 
-    ``inv_diag[k]`` is ``1 / diag(A_k)`` and ``lambda_max[k]`` the Gershgorin
-    bound ``max_i sum_j |a_ij| / a_ii`` of ``D_k^{-1} A_k``, the two things
-    the Chebyshev smoother needs.  ``coarse_inverse`` is the
-    dense inverse of the level-0 stiffness; unlike a triangular solve, its
-    product with a block is fast on threaded BLAS.  ``coarse_stiffness[k]``
-    and ``coarse_mass[k]`` are the dense ``n_0 x n_0`` blocks
-    ``P_k' A_k P_k`` and ``P_k' B_k P_k``, with ``P_k`` the product
-    ``transfer[k-1] ... transfer[0]`` (never formed): the pencil of the
-    coarse part of the augmented space, which depends only on the level.
+    ``lambda_max[k]`` is the Gershgorin bound ``max_i sum_j |a_ij| / a_ii``
+    of ``D_k^{-1} A_k``, the Chebyshev smoother's interval.
+    ``coarse_stiffness[k]`` and ``coarse_mass[k]`` are the dense
+    ``n_0 x n_0`` blocks ``P_k' A_k P_k`` and ``P_k' B_k P_k``, with ``P_k``
+    the product ``transfer[k-1] ... transfer[0]`` (never formed): the pencil
+    of the coarse part of the augmented space, which depends only on the
+    level.
 
-    ``single`` holds float32 copies of the stiffness matrices, transfers,
-    ``inv_diag`` and ``coarse_inverse`` for the cycles inside
-    :func:`mg_solve`.  Each level's stiffness and mass, and the float32
-    stiffness, share one pair of CSR index arrays; each float32 transfer
-    shares those of its float64 transfer.
+    The fields ending in ``32`` are what the float32 cycle reads: float32
+    copies of the stiffness matrices and transfers, ``1 / diag(A_k)``, and
+    the dense inverse of the level-0 stiffness (unlike a triangular solve,
+    its product with a block is fast on threaded BLAS).  Each level's
+    stiffness and mass, and the float32 stiffness, share one pair of CSR
+    index arrays; each float32 transfer shares those of its float64 transfer.
     """
 
     stiffness: list
@@ -97,22 +85,17 @@ class MGContext:
     transfer: list          # interior-restricted prolongation, level k -> k+1
     dofmaps: list           # interior vertex ids of each level, increasing
     nu: int
-    inv_diag: list
     lambda_max: list
-    coarse_inverse: np.ndarray
     coarse_stiffness: list  # dense P_k' A_k P_k of every level
     coarse_mass: list       # dense P_k' B_k P_k of every level
-    single: CycleOperators  # float32 copies of the cycle's operators
+    stiffness32: list
+    transfer32: list
+    inv_diag32: list
+    coarse_inverse32: np.ndarray
 
     @property
     def n_levels(self) -> int:
         return len(self.stiffness)
-
-    def operators(self, dtype) -> CycleOperators:
-        """The cycle's operators in ``dtype``: float32 copies or the float64 originals."""
-        if dtype == np.float32:
-            return self.single
-        return CycleOperators(self.stiffness, self.transfer, self.inv_diag, self.coarse_inverse)
 
     def n_dofs(self, level: int) -> int:
         return self.stiffness[level].shape[0]
@@ -172,15 +155,12 @@ def build_mg_context(
 
     lower = cholesky_dense(coarse_stiffness[0])
     coarse_inverse = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
-    single = CycleOperators(
+    return MGContext(
+        stiffness, mass, transfer, dofmaps, nu, lambda_max, coarse_stiffness, coarse_mass,
         [_float32_values(a) for a in stiffness],
         [_float32_values(t) for t in transfer],
         [d.astype(np.float32) for d in inv_diag],
         coarse_inverse.astype(np.float32),
-    )
-    return MGContext(
-        stiffness, mass, transfer, dofmaps, nu,
-        inv_diag, lambda_max, coarse_inverse, coarse_stiffness, coarse_mass, single,
     )
 
 
@@ -192,7 +172,7 @@ def _float32_values(matrix: sp.csr_array) -> sp.csr_array:
 
 
 def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> np.ndarray:
-    """Chebyshev smoothing of ``x`` towards ``A_k x = f`` in the precision of ``f``.
+    """Chebyshev smoothing of ``x`` towards ``A_k x = f`` on the float32 operators.
 
     Saad's three-term recurrence (Iterative Methods, Alg. 12.1) for
     ``D^{-1} A_k`` on ``[lam/8, lam]``: one residual, then ``nu`` updates of
@@ -200,9 +180,8 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> 
     ``x`` is updated in place; ``None``, the cycle's pre-smoothing guess,
     stands for zero, whose residual is ``f`` itself: it costs no product.
     """
-    ops = ctx.operators(f.dtype)
-    matrix = ops.stiffness[level]
-    inv_diag = ops.inv_diag[level] if f.ndim == 1 else ops.inv_diag[level][:, None]
+    matrix = ctx.stiffness32[level]
+    inv_diag = ctx.inv_diag32[level] if f.ndim == 1 else ctx.inv_diag32[level][:, None]
     theta = 9.0 / 16.0 * ctx.lambda_max[level]  # centre of the interval
     delta = 7.0 / 16.0 * ctx.lambda_max[level]  # half-width
     rho = delta / theta
@@ -219,13 +198,12 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> 
 
 
 def _cycle(ctx: MGContext, level: int, f: np.ndarray) -> np.ndarray:
-    """The V-cycle recursion from a zero guess, in the precision of ``f``."""
-    ops = ctx.operators(f.dtype)
+    """The V-cycle recursion from a zero guess on a float32 ``f``."""
     if level == 0:
-        return ops.coarse_inverse @ f
+        return ctx.coarse_inverse32 @ f
     x = _smooth(ctx, level, f, None)
-    residual = f - ops.stiffness[level] @ x
-    transfer = ops.transfer[level - 1]
+    residual = f - ctx.stiffness32[level] @ x
+    transfer = ctx.transfer32[level - 1]
     x += transfer @ _cycle(ctx, level - 1, transfer.T @ residual)
     return _smooth(ctx, level, f, x)
 
@@ -233,17 +211,6 @@ def _cycle(ctx: MGContext, level: int, f: np.ndarray) -> np.ndarray:
 def _check_level(ctx: MGContext, level: int) -> None:
     if not 0 <= level < ctx.n_levels:
         raise ValueError("level %d out of range 0..%d" % (level, ctx.n_levels - 1))
-
-
-def v_cycle(ctx: MGContext, level: int, f: np.ndarray) -> np.ndarray:
-    """One float64 V-cycle from a zero guess for the level system ``A_k x = f``.
-
-    ``f`` is a vector or an ``(n, q)`` block of independent columns, and is
-    not modified.  At the coarsest level this is an exact dense solve.  A
-    cycle from an iterate ``x`` is ``x + v_cycle(ctx, level, f - A_k @ x)``.
-    """
-    _check_level(ctx, level)
-    return _cycle(ctx, level, np.asarray(f, dtype=float))
 
 
 def mg_solve(ctx: MGContext, level: int, f: np.ndarray, m: int) -> np.ndarray:
@@ -255,7 +222,9 @@ def mg_solve(ctx: MGContext, level: int, f: np.ndarray, m: int) -> np.ndarray:
     float64 accuracy.  With ``m=1``, the correction step's default, the
     solve forms no float64 product.  This is the approximate
     boundary-value solve of the eigenvalue correction step, which passes
-    the defect of its current vectors as ``f``.
+    the defect of its current vectors as ``f``; with ``m=1`` it is also
+    LOBPCG's preconditioner in the direct baseline.  At the coarsest level
+    a cycle is a dense solve with the float32 inverse.
     """
     if m < 1:
         raise ValueError("m must be >= 1, got %r" % (m,))

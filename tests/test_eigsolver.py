@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmgeig as fg
-from fmgeig import eigsolver
+from fmgeig import eigsolver, multigrid
 from fmgeig.eigsolver import GRAM_DROP_TOL, EigenApprox, augmented_ritz
 from fmgeig.errors import DegenerateAugmentationError, SolverError
 from fmgeig.linalg import sign_fix
@@ -75,10 +76,22 @@ def reference_correction(ctx, approx, config):
 
 
 def float64_mg_solve(ctx, level, f, m):
-    """``m`` float64 V-cycles: the reference for the mixed-precision ``mg_solve``."""
+    """``m`` float64 V-cycles: the reference for the mixed-precision ``mg_solve``.
+
+    The cycle's recursion runs in the precision of its operands, so it runs
+    in float64 on a copy of ``ctx`` whose cycle fields hold float64 values.
+    """
+    lower = fg.cholesky_dense(ctx.stiffness[0].toarray())
+    double = dataclasses.replace(
+        ctx,
+        stiffness32=ctx.stiffness,
+        transfer32=ctx.transfer,
+        inv_diag32=[1.0 / a.diagonal() for a in ctx.stiffness],
+        coarse_inverse32=scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0])),
+    )
     x = np.zeros_like(f)
     for _ in range(m):
-        x = x + fg.v_cycle(ctx, level, f - ctx.stiffness[level] @ x)
+        x = x + multigrid._cycle(double, level, f - ctx.stiffness[level] @ x)
     return x
 
 
@@ -491,12 +504,15 @@ class TestConcurrentSolves:
             out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
             return out.eigenvalues, out.work_units
 
+        filters = list(warnings.filters)
         serial_vals, serial_work = solve()
         assert serial_work > 0
         assert serial_work % general_ctx.cycle_work(general_ctx.n_levels - 1) == 0
         for vals, work in run_in_threads(solve):
             assert np.array_equal(vals, serial_vals)
             assert work == serial_work
+        # Each call ignores LOBPCG's warnings while it runs, and no more.
+        assert warnings.filters == filters
 
 
 class TestThreadDeterminism:
@@ -619,8 +635,8 @@ class TestDirectFineSolve:
         with pytest.raises(ValueError):
             fg.direct_fine_solve(small_ctx, 1, tol)
 
-    # Here a single LOBPCG call stalls at 1.9e-11; the restart reaches 1e-12.
-    @pytest.mark.filterwarnings("ignore:Exited:UserWarning")
+    # One LOBPCG call meets 1e-12 here (9.9e-14 of max|A|); the retry after a
+    # stalled call is test_stalled_call_is_retried_under_error_filter.
     def test_restart_reaches_tight_target(self, model_coeff):
         hier = fg.build_hierarchy(fg.unit_square_mesh(8), 2)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
@@ -632,7 +648,6 @@ class TestDirectFineSolve:
 
     # With the floor at 1e-13, LOBPCG stopped at 1.7e-13 on level 3 of seed
     # 1, and at 3.4e-13 on level 1 of seed 6 with a target of 2e-13.
-    @pytest.mark.filterwarnings("ignore:Exited:UserWarning")
     @pytest.mark.parametrize("seed, level", [(1, 3), (6, 1)])
     def test_floor_met_on_benchmark_meshes(self, model_coeff, seed, level):
         hier = fg.build_hierarchy(benchmark_mesh(seed), level + 1)
@@ -644,7 +659,6 @@ class TestDirectFineSolve:
         assert residuals.max() <= tol * abs(a).max()
 
     # The residual floor on this level is about 2e-15 to 7e-15 of max|A|.
-    @pytest.mark.filterwarnings("ignore:Exited:UserWarning")
     def test_target_below_round_off_raises(self, small_ctx):
         with pytest.raises(fg.ConvergenceError):
             fg.direct_fine_solve(small_ctx, 1, 1e-16)
@@ -680,16 +694,88 @@ class TestDirectFineSolve:
     def test_work_is_one_cycle_per_preconditioned_column(self, general_ctx, monkeypatch):
         columns = []
 
-        def spy(ctx, level, f):
+        def spy(ctx, level, f, m):
+            assert m == 1
             columns.append(f.shape[1])
-            return fg.v_cycle(ctx, level, f)
+            return fg.mg_solve(ctx, level, f, m)
 
-        monkeypatch.setattr("fmgeig.eigsolver.v_cycle", spy)
+        monkeypatch.setattr("fmgeig.eigsolver.mg_solve", spy)
         level = general_ctx.n_levels - 1
         out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
         assert len(columns) > 1 and max(columns) > 1
         assert out.work_units == sum(columns) * general_ctx.cycle_work(level)
         assert fg.direct_fine_solve(general_ctx, 2, 1e-9, level=0).work_units == 0.0
+
+    # Model eigenvalues on the unit square are pi^2 times 2, 5, 5, 8, 10,
+    # 10, 13, 13, ...: q=1 ends before the 5 pi^2 double, q=2 after it, and
+    # q=5 after the 10 pi^2 double, where a block of q + 2 = 7 would split
+    # the 13 pi^2 one.  The general problem's widest gap follows pair 6.
+    @pytest.mark.parametrize(
+        "problem, q, width",
+        [("model", 1, 1), ("model", 2, 3), ("model", 5, 6), ("general", 6, 6)],
+    )
+    def test_block_ends_at_widest_gap(self, problem, q, width, monkeypatch):
+        widths = []
+
+        def spy(a, block, **kwargs):
+            widths.append(block.shape[1])
+            return scipy.sparse.linalg.lobpcg(a, block, **kwargs)
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", spy)
+        coeff = fg.laplace_coefficients() if problem == "model" else fg.general_problem().coefficients
+        ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(1), 4), coeff, nu=2)
+        fg.direct_fine_solve(ctx, q, 1e-9)
+        assert widths == [width]
+
+    def test_block_rule_budget(self, model_coeff, monkeypatch):
+        # Model q=5 on level 3 of the benchmark's seed-1 mesh: a block of 7
+        # columns took 40 LOBPCG iterations and preconditioned 111 columns;
+        # the 6-column block takes 18 and 76.
+        columns = []
+
+        def spy(ctx, level, f, m):
+            columns.append(f.shape[1])
+            return fg.mg_solve(ctx, level, f, m)
+
+        monkeypatch.setattr("fmgeig.eigsolver.mg_solve", spy)
+        ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(1), 4), model_coeff, nu=2)
+        fg.direct_fine_solve(ctx, 5, 1e-9)
+        assert len(columns) <= 40 // 2
+        assert sum(columns) <= 111 * 3 // 4
+
+    @pytest.mark.filterwarnings("error")
+    def test_stalled_call_is_retried_under_error_filter(self, general_ctx, monkeypatch):
+        # The first call stops after one iteration, far above its target,
+        # and LOBPCG warns; the residual check, not the warning, decides.
+        calls, warned = [], []
+
+        def stall_first(a, block, **kwargs):
+            if not calls:
+                kwargs["maxiter"] = 1
+            calls.append(kwargs["maxiter"])
+            return scipy.sparse.linalg.lobpcg(a, block, **kwargs)
+
+        def record(message, category=UserWarning, *args, **kwargs):
+            warned.append((len(calls), category, str(message)))
+            return warn(message, category, *args, **kwargs)
+
+        warn = warnings.warn
+        monkeypatch.setattr(warnings, "warn", record)
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall_first)
+        out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
+        assert calls == [1, eigsolver.DIRECT_MAX_ITERS]
+        assert (1, UserWarning) in [(call, category) for call, category, _ in warned]
+        a, b, u = general_ctx.stiffness[out.level], general_ctx.mass[out.level], out.vectors
+        residuals = np.linalg.norm(a @ u - (b @ u) * out.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-9 * abs(a).max()
+
+    @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "past-finest"])
+    @pytest.mark.parametrize("solve", ["direct_fine_solve", "coarse_eigensolve"])
+    def test_level_out_of_range(self, model_coeff, solve, level):
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(8), 3), model_coeff, nu=2)
+        args = (ctx, 1, 1e-9) if solve == "direct_fine_solve" else (ctx, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(fg, solve)(*args, level=level)
 
     @pytest.mark.filterwarnings("error")
     def test_q_equal_to_dofs_gives_dense_pairs(self, small_ctx):

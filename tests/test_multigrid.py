@@ -27,7 +27,7 @@ def measure_contraction(ctx, level, seed=0, cycles=1):
         x = rng.standard_normal(matrix.shape[0])
         e_prev = fg.norm_a(matrix, x - xstar)
         for _ in range(cycles):
-            x = x + fg.v_cycle(ctx, level, f - matrix @ x)
+            x = x + fg.mg_solve(ctx, level, f - matrix @ x, 1)
             e_next = fg.norm_a(matrix, x - xstar)
             worst = max(worst, e_next / e_prev)
             e_prev = e_next
@@ -35,15 +35,16 @@ def measure_contraction(ctx, level, seed=0, cycles=1):
 
 
 def zero_guess_cycle(ctx, columns):
-    """The finest-level map ``f -> v_cycle(f)`` and two random inputs."""
+    """The finest-level map ``f -> mg_solve(f, m=1)``, LOBPCG's preconditioner,
+    and two random inputs."""
     level = ctx.n_levels - 1
     shape = (ctx.n_dofs(level),) if columns is None else (ctx.n_dofs(level), columns)
     f, g = np.random.default_rng(8).standard_normal((2,) + shape)
-    return lambda rhs: fg.v_cycle(ctx, level, rhs), f, g
+    return lambda rhs: fg.mg_solve(ctx, level, rhs, 1), f, g
 
 
 def float32_zero_guess_cycle(ctx, columns):
-    """As :func:`zero_guess_cycle`, for the float32 cycle inside ``mg_solve``."""
+    """As :func:`zero_guess_cycle`, for the float32 recursion on float32 input."""
     _, f, g = zero_guess_cycle(ctx, columns)
     level = ctx.n_levels - 1
 
@@ -63,17 +64,21 @@ class TestBuildContext:
         for level in range(ctx.n_levels):
             dense = ctx.stiffness[level].toarray()
             diag = np.diag(dense)
-            assert np.array_equal(ctx.inv_diag[level], 1.0 / diag)
+            assert np.array_equal(ctx.inv_diag32[level], (1.0 / diag).astype(np.float32))
             bound = (np.abs(dense).sum(axis=1) / diag).max()
             assert abs(ctx.lambda_max[level] - bound) <= 1e-14 * bound
 
     def test_single_level_cycle_is_exact_solve(self, model_coeff):
+        # One cycle is a dense solve with the float32 inverse; the float64
+        # defect correction of two more recovers float64 accuracy.
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         rng = np.random.default_rng(0)
         f = rng.standard_normal(ctx.n_dofs(0))
-        x = fg.v_cycle(ctx, 0, f)
-        assert np.abs(x - reference_solution(ctx.stiffness[0], f)).max() < 1e-12
+        exact = reference_solution(ctx.stiffness[0], f)
+        scale = np.abs(exact).max()
+        assert np.abs(fg.mg_solve(ctx, 0, f, 1) - exact).max() <= 1e-6 * scale
+        assert np.abs(fg.mg_solve(ctx, 0, f, 3) - exact).max() <= 1e-14 * scale
 
     def test_transfer_shapes(self, small_ctx):
         for k, op in enumerate(small_ctx.transfer):
@@ -151,33 +156,29 @@ class TestBuildContext:
         pairs = [
             (ctx.stiffness[k], other)
             for k in range(ctx.n_levels)
-            for other in (ctx.mass[k], ctx.single.stiffness[k])
+            for other in (ctx.mass[k], ctx.stiffness32[k])
         ]
-        pairs += list(zip(ctx.transfer, ctx.single.transfer))
+        pairs += list(zip(ctx.transfer, ctx.transfer32))
         for matrix, other in pairs:
             assert np.shares_memory(matrix.indices, other.indices)
             assert np.shares_memory(matrix.indptr, other.indptr)
 
     def test_float32_copies(self, general_ctx):
-        single = general_ctx.single
-        for matrix, copy in zip(
-            general_ctx.stiffness + general_ctx.transfer, single.stiffness + single.transfer
-        ):
+        ctx = general_ctx
+        for matrix, copy in zip(ctx.stiffness + ctx.transfer, ctx.stiffness32 + ctx.transfer32):
             assert copy.dtype == np.float32
             assert np.array_equal(copy.data, matrix.data.astype(np.float32))
-        for inv_diag, copy in zip(general_ctx.inv_diag, single.inv_diag):
-            assert np.array_equal(copy, inv_diag.astype(np.float32))
-        assert np.array_equal(
-            single.coarse_inverse, general_ctx.coarse_inverse.astype(np.float32)
-        )
-        assert all(type(lam) is float for lam in general_ctx.lambda_max)
+        assert all(d.dtype == np.float32 for d in ctx.inv_diag32)
+        inverse = reference_solution(ctx.stiffness[0], np.eye(ctx.n_dofs(0)))
+        assert np.array_equal(ctx.coarse_inverse32, inverse.astype(np.float32))
+        assert all(type(lam) is float for lam in ctx.lambda_max)
 
 
 class TestVCycle:
     def test_zero_fixed_point(self, small_ctx):
         level = small_ctx.n_levels - 1
         zero = np.zeros(small_ctx.n_dofs(level))
-        out = fg.v_cycle(small_ctx, level, zero)
+        out = fg.mg_solve(small_ctx, level, zero, 1)
         assert np.array_equal(out, zero)
 
     @pytest.mark.parametrize("problem", ["model", "general"])
@@ -202,30 +203,32 @@ class TestVCycle:
         rng = np.random.default_rng(7)
         f = rng.standard_normal((small_ctx.n_dofs(level), 3))
         f_in = f.copy()
-        block = fg.v_cycle(small_ctx, level, f)
+        block = fg.mg_solve(small_ctx, level, f, 1)
         for j in range(3):
-            single = fg.v_cycle(small_ctx, level, f[:, j])
-            assert np.abs(block[:, j] - single).max() <= 1e-13 * np.abs(single).max()
+            single = fg.mg_solve(small_ctx, level, f[:, j], 1)
+            assert np.abs(block[:, j] - single).max() <= 1e-5 * np.abs(single).max()
         assert np.array_equal(f, f_in)
 
+    # LOBPCG's theory assumes a fixed symmetric preconditioner: one cycle
+    # from a zero guess is, up to float32 round-off.
     @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
     def test_cycle_from_zero_is_linear(self, general_ctx, columns):
         cycle, f, g = zero_guess_cycle(general_ctx, columns)
         combined = cycle(f + 2.0 * g)
         defect = combined - cycle(f) - 2.0 * cycle(g)
-        assert np.abs(defect).max() <= 1e-12 * np.abs(combined).max()
+        assert np.abs(defect).max() <= 1e-5 * np.abs(combined).max()
 
     @pytest.mark.parametrize("columns", [None, 3], ids=["vector", "block"])
     def test_cycle_from_zero_is_symmetric(self, general_ctx, columns):
         cycle, f, g = zero_guess_cycle(general_ctx, columns)
         forward = g.T @ cycle(f)
         backward = (f.T @ cycle(g)).T
-        assert np.abs(forward - backward).max() <= 1e-12 * np.abs(forward).max()
+        assert np.abs(forward - backward).max() <= 1e-5 * np.abs(forward).max()
 
     def test_level_out_of_range(self, small_ctx):
         zero = np.zeros(small_ctx.n_dofs(0))
         with pytest.raises(ValueError):
-            fg.v_cycle(small_ctx, small_ctx.n_levels, zero)
+            fg.mg_solve(small_ctx, small_ctx.n_levels, zero, 1)
 
 
 class TestFloat32Cycle:
@@ -286,9 +289,9 @@ class TestMGSolve:
         xstar = reference_solution(matrix, f)
         x0 = rng.standard_normal(matrix.shape[0])
         e0 = fg.norm_a(matrix, x0 - xstar)
-        x1 = x0 + fg.v_cycle(ctx, level, f - matrix @ x0)
+        x1 = x0 + fg.mg_solve(ctx, level, f - matrix @ x0, 1)
         e1 = fg.norm_a(matrix, x1 - xstar)
-        x2 = x1 + fg.v_cycle(ctx, level, f - matrix @ x1)
+        x2 = x1 + fg.mg_solve(ctx, level, f - matrix @ x1, 1)
         e2 = fg.norm_a(matrix, x2 - xstar)
         theta = max(e1 / e0, e2 / e1)
         assert e2 / e0 <= theta**2 * (1.0 + 1e-12)
@@ -321,27 +324,26 @@ class TestConcurrentSolves:
 class TestWorkCounter:
     @pytest.mark.parametrize("precision", ["float32", "float64"])
     def test_smoothing_work_formula(self, small_hierarchy, model_coeff, precision):
-        # One cycle from a zero guess makes 2 nu + 2 stiffness products on
-        # every level above the coarsest: two smoothings of nu counted
-        # products each, plus the two residual products, which are not
-        # counted.  The float32 cycle is mg_solve's, the float64 one
-        # v_cycle's, LOBPCG's preconditioner: neither multiplies by the zero
-        # guess on its top level.
+        # One cycle from a zero guess makes 2 nu + 2 float32 stiffness
+        # products on every level above the coarsest: two smoothings of nu
+        # counted products each, plus the two residual products, which are
+        # not counted; it does not multiply by the zero guess on its top
+        # level.  In float64, mg_solve forms only the defect of each cycle
+        # after the first, on the top level: none with m=1, the correction
+        # step's default and LOBPCG's preconditioner.
         for nu in (1, 2, 3):
             ctx = fg.build_mg_context(small_hierarchy, model_coeff, nu=nu)
             level = ctx.n_levels - 1
             f = np.ones(ctx.n_dofs(level))
-            if precision == "float32":
-                counting = [CountingMatrix(a) for a in ctx.single.stiffness]
-                ctx = dataclasses.replace(ctx, single=ctx.single._replace(stiffness=counting))
-                fg.mg_solve(ctx, level, f, 1)
-            else:
-                counting = [CountingMatrix(a) for a in ctx.stiffness]
-                ctx = dataclasses.replace(ctx, stiffness=counting)
-                fg.v_cycle(ctx, level, f)
-            assert [c.products for c in counting] == [0] + [2 * nu + 2] * level
-            counted = sum((c.products - 2) * ctx.n_dofs(k) for k, c in enumerate(counting) if k)
-            assert ctx.cycle_work(level) == counted
+            single = [CountingMatrix(a) for a in ctx.stiffness32]
+            double = [CountingMatrix(a) for a in ctx.stiffness]
+            ctx = dataclasses.replace(ctx, stiffness32=single, stiffness=double)
+            m = 1 if precision == "float32" else 2
+            fg.mg_solve(ctx, level, f, m)
+            assert [c.products for c in single] == [0] + [m * (2 * nu + 2)] * level
+            assert [c.products for c in double] == [0] * level + [m - 1]
+            counted = sum((c.products - 2 * m) * ctx.n_dofs(k) for k, c in enumerate(single) if k)
+            assert m * ctx.cycle_work(level) == counted
         assert ctx.cycle_work(0) == 0
 
     def test_context_is_frozen(self, small_ctx):
