@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--compare-direct",
         action="store_true",
-        help="also run the direct baseline solver per level",
+        help="also run the direct baseline solver, one nested sweep over the levels",
     )
     run.add_argument(
         "--direct-tol", type=float, default=1e-9,

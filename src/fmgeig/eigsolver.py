@@ -17,8 +17,8 @@ Returned blocks are orthonormal in the mass inner product, with eigenvalues
 in ascending order.  In each vector the first entry within a relative 1e-8
 of the largest magnitude is positive, a sign convention that entries tied up
 to round-off cannot flip.
-:func:`direct_fine_solve` provides an independent baseline: LOBPCG on the
-fine-level pencil with one float32 block V-cycle as preconditioner.
+:func:`direct_fine_solve` provides an independent baseline: a nested LOBPCG
+sweep over the levels, preconditioned by one float32 block V-cycle.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ __all__ = [
     "direct_fine_solve",
 ]
 
-#: Iteration cap of one LOBPCG call in :func:`direct_fine_solve` (converged
-#: runs take 10-35 iterations on every level).
+#: Iteration cap of one LOBPCG call in :func:`direct_fine_solve` (a sweep level
+#: of the benchmark meshes takes 7-15 iterations at tol=1e-9, 11-23 at 1e-12).
 DIRECT_MAX_ITERS = 100
 #: Smallest residual target :func:`~fmgeig.harness.run_study` accepts for the
 #: baseline.  LOBPCG can stall above 1e-13 of max|A| (1.7e-13 and 3.4e-13 on
@@ -139,9 +139,9 @@ def _column_norms(block: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", block, block))
 
 
-def _prolongate(ctx: MGContext, block: np.ndarray, start: int, level: int) -> np.ndarray:
-    """``block`` on level ``start`` interpolated to ``level`` through the transfers."""
-    for op in ctx.transfer[start:level]:
+def _prolongate(ctx: MGContext, block: np.ndarray, level: int) -> np.ndarray:
+    """``block`` on level 0 interpolated to ``level`` through the transfers."""
+    for op in ctx.transfer[:level]:
         block = op @ block
     return block
 
@@ -245,7 +245,7 @@ def one_correction_step(
     vals, ritz, kept = augmented_ritz(a_aug, b_aug, approx.q, GRAM_DROP_TOL)
     coef = np.zeros((a_aug.shape[0], approx.q))
     coef[kept] = ritz  # dropped basis columns get zero weight
-    vectors = _prolongate(ctx, coef[:n_h], 0, k)
+    vectors = _prolongate(ctx, coef[:n_h], k)
     vectors += np.einsum("ij,jk->ik", smoothed, coef[n_h:])
 
     # Cholesky-QR: V'BV = L L', then V <- V L^{-T} with the q x q inverse.
@@ -290,57 +290,77 @@ def full_multigrid(
 
 
 def direct_fine_solve(
-    ctx: MGContext, q: int, tol: float, level: int | None = None
+    ctx: MGContext, q: int, tol: float, level: int | None = None, on_level=None
 ) -> EigenApprox:
-    """Baseline solver: LOBPCG on the level pencil, preconditioned by one V-cycle.
+    """Baseline solver: one nested LOBPCG sweep from the coarsest level to ``level``.
 
-    A level with fewer than ``5 (q + 2)`` dofs, too small for the block
-    iteration, is solved densely, with no work.  Otherwise
-    :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates a block of
-    ``w`` columns started from the ``w`` lowest dense eigenvectors of the
-    first level with ``q + 3`` dofs, prolongated to ``level``: the same
-    functions whatever the vertex numbering, so the iteration does not
-    depend on it.  LOBPCG stops only when every column has converged, at the
-    rate of the gap after the block, so ``w`` in ``{q, q+1, q+2}`` minimises
-    ``lambda_w / lambda_{w+1}`` of those dense eigenvalues (the smallest
-    ``w`` on ties).  On the model problem with q=5, ``q + 2`` columns split
-    the double eigenvalue ``13 pi^2``; the rule takes 6, and level 4 of the
-    benchmark's seed-1 mesh takes 17 iterations instead of 64 at ``tol=1e-9``.
-    The preconditioner, one float32 V-cycle from a zero guess on the
-    residual block (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is a
-    fixed operator, symmetric positive definite up to float32 round-off, as
-    LOBPCG's theory assumes.  LOBPCG's final Rayleigh-Ritz step leaves its
-    block mass-orthonormal, and the first ``q`` columns are returned as they
-    are, up to sign.  The returned pairs satisfy
-    ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError` is
-    raised after ``DIRECT_ATTEMPTS`` calls.  This check alone decides: the
-    ``UserWarning`` of a call that stops above its target is ignored, which
-    changes the process-wide warning filters while the call runs, so
-    concurrent solves take turns at LOBPCG.  The result's work is one cycle
-    per column preconditioned.
+    A level with fewer than ``5 (q + 2)`` dofs is solved densely, with no
+    work (one with fewer than ``q`` is skipped unless it is ``level``).  On
+    the others :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates a
+    block of ``w`` columns started from the level below's, prolongated, so
+    it only removes the error the refinement adds (Knyazev & Neymeyr, ETNA
+    15, 2003).  The first block is the ``w`` lowest dense eigenvectors of
+    the first level with ``q + 3`` dofs, and dense levels above pass up
+    their own: the same functions whatever the vertex numbering, so the
+    iteration does not depend on it.  LOBPCG stops only when every column
+    has converged, at the rate of the gap after the block, so ``w`` in
+    ``{q, q+1, q+2}`` minimises ``lambda_w / lambda_{w+1}`` of the first
+    dense eigenvalues (the smallest ``w`` on ties).  The preconditioner, one
+    float32 V-cycle from a zero guess (:func:`~fmgeig.multigrid.mg_solve`
+    with ``m=1``), is symmetric positive definite up to round-off, as
+    LOBPCG's theory assumes.  LOBPCG's target is ``tol * max|A|``, and the
+    first ``q`` columns of its mass-orthonormal block, up to sign, must meet
+    ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
+    naming the level is raised after ``DIRECT_ATTEMPTS`` calls.  This check
+    alone decides: the ``UserWarning`` of a call that stops above its target
+    is ignored, which changes the process-wide warning filters while the
+    call runs, so concurrent solves take turns at LOBPCG.  ``on_level`` (if
+    given) gets each level's accepted :class:`EigenApprox`, exactly what a
+    sweep ending there returns, with the work of the sweep so far: one cycle
+    per column preconditioned.  No iterate comes from :func:`full_multigrid`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     if level is None:
         level = ctx.n_levels - 1
     _check_level(ctx, level)
-    a = ctx.stiffness[level]
-    b = ctx.mass[level]
-    n = a.shape[0]
-    if n < 5 * (q + 2):
-        return coarse_eigensolve(ctx, q, level)
-    a_scale = float(np.abs(a.data).max())
+    start = next((k for k in range(level + 1) if ctx.n_dofs(k) >= q + 3), level + 1)
+    work = 0.0
+    for k in range(level + 1):
+        n = ctx.n_dofs(k)
+        if n < q and k < level:
+            continue  # too few dofs for q pairs
+        if k == start:
+            dense = coarse_eigensolve(ctx, q + 3, k)
+            lam = dense.eigenvalues
+            width = q + int(np.argmin(lam[q - 1 : q + 2] / lam[q : q + 3]))
+            block = dense.vectors[:, :width]
+        if n < 5 * (q + 2):
+            approx = coarse_eigensolve(ctx, q, k)
+            if k > start:
+                block = coarse_eigensolve(ctx, width, k).vectors
+        else:
+            if k > start:
+                block = ctx.transfer[k - 1] @ block
+            approx, block = _lobpcg_level(ctx, k, block, q, tol, work)
+            work = approx.work_units
+        if on_level is not None:
+            on_level(approx)
+    return approx
 
-    start = next(k for k in range(level + 1) if ctx.n_dofs(k) >= q + 3)
-    dense = coarse_eigensolve(ctx, q + 3, start)
-    lam = dense.eigenvalues
-    width = q + int(np.argmin(lam[q - 1 : q + 2] / lam[q : q + 3]))
-    block = _prolongate(ctx, dense.vectors[:, :width], start, level)
+
+def _lobpcg_level(
+    ctx: MGContext, level: int, block: np.ndarray, q: int, tol: float, work: float
+) -> tuple[EigenApprox, np.ndarray]:
+    """One level of :func:`direct_fine_solve` from ``block``: its ``q`` pairs,
+    with ``work`` plus this level's, and the whole converged block."""
+    a, b = ctx.stiffness[level], ctx.mass[level]
+    a_scale = float(np.abs(a.data).max())
     columns = 0
 
     def precondition(r):
         nonlocal columns
-        columns += r.size // n
+        columns += r.shape[1]
         return mg_solve(ctx, level, r, 1)
 
     for _ in range(DIRECT_ATTEMPTS):
@@ -348,7 +368,7 @@ def direct_fine_solve(
             warnings.simplefilter("ignore", UserWarning)
             vals, block = lobpcg(
                 a, block, B=b, M=precondition,
-                tol=0.1 * tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
+                tol=tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
             )
         order = np.argsort(vals)
         vals, block = vals[order], block[:, order]
@@ -356,8 +376,8 @@ def direct_fine_solve(
         residuals = np.linalg.norm(a @ vecs - (b @ vecs) * vals[:q], axis=0)
         worst = float(residuals.max())
         if worst <= tol * a_scale:
-            return EigenApprox(level, vals[:q], vecs, columns * ctx.cycle_work(level))
+            return EigenApprox(level, vals[:q], vecs, work + columns * ctx.cycle_work(level)), block
     raise ConvergenceError(
-        "LOBPCG stopped at residual %g > tol %g (relative to max|A|)"
-        % (worst / a_scale, tol)
+        "LOBPCG stopped at residual %g > tol %g (relative to max|A|) on level %d"
+        % (worst / a_scale, tol, level)
     )

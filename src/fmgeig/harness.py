@@ -9,8 +9,8 @@ Richardson extrapolation of the two finest direct solves.
 
 :func:`run_study` drives the full multigrid scheme once over a hierarchy,
 recording the accepted eigenpairs of every level (identical to what shorter
-runs would produce), optionally runs the direct baseline per level, and
-writes one CSV row per method, level and eigenvalue.
+runs would produce), optionally runs one sweep of the direct baseline the
+same way, and writes one CSV row per method, level and eigenvalue.
 """
 
 from __future__ import annotations
@@ -260,13 +260,14 @@ def run_study(
 
     One full multigrid pass records every level's accepted eigenpairs (the
     scheme is incremental, so these match runs with fewer levels exactly).
-    With ``compare_direct`` the baseline solver runs per level and, when the
-    problem has no exact eigenvalues, its two finest levels provide the
-    Richardson-extrapolated reference for both methods.  Output is
-    deterministic apart from the wall-clock column.  A ``direct_tol`` that
-    is not finite or lies below
-    :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` is rejected before any work
-    when the baseline runs.
+    With ``compare_direct`` one nested sweep of the baseline solver records
+    its levels the same way and, when the problem has no exact eigenvalues,
+    its two finest levels provide the Richardson-extrapolated reference for
+    both methods.  Both methods' ``work_units`` and ``wall_ms`` are
+    cumulative from the start of their sweep.  Output is deterministic apart
+    from the wall-clock column.  A ``direct_tol`` that is not finite or lies
+    below :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` is rejected before any
+    work when the baseline runs.
     """
     if compare_direct and not DIRECT_TOL_FLOOR <= direct_tol < np.inf:
         raise ValueError(
@@ -276,20 +277,14 @@ def run_study(
     hierarchy = build_hierarchy(coarse_mesh, n_levels)
     ctx = build_mg_context(hierarchy, spec.coefficients, config.nu)
 
-    snapshots = []
-    t0 = time.perf_counter()
+    def recorder(out: list):  # on_level: each snapshot with the ms since this call
+        t0 = time.perf_counter()
+        return lambda approx: out.append((approx, 1000.0 * (time.perf_counter() - t0)))
 
-    def record(approx: EigenApprox) -> None:
-        snapshots.append((approx, 1000.0 * (time.perf_counter() - t0)))
-
-    full_multigrid(hierarchy, spec.coefficients, config, ctx=ctx, on_level=record)
-
-    direct_results = []
+    snapshots, direct_results = [], []
+    full_multigrid(hierarchy, spec.coefficients, config, ctx=ctx, on_level=recorder(snapshots))
     if compare_direct:
-        for level in range(n_levels):
-            t_level = time.perf_counter()
-            approx = direct_fine_solve(ctx, config.q, direct_tol, level=level)
-            direct_results.append((approx, 1000.0 * (time.perf_counter() - t_level)))
+        direct_fine_solve(ctx, config.q, direct_tol, on_level=recorder(direct_results))
 
     reference = None
     if spec.exact_eigenvalues is None and len(direct_results) >= 2:

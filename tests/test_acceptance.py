@@ -85,9 +85,9 @@ def general_run():
     snaps = []
     config = fg.SolverConfig(q=6, m=2, p=2, nu=2)
     fg.full_multigrid(hier, spec.coefficients, config, ctx=ctx, on_level=snaps.append)
-    directs = [
-        fg.direct_fine_solve(ctx, 6, 1e-9, level=level) for level in (3, 4)
-    ]
+    directs = []
+    fg.direct_fine_solve(ctx, 6, 1e-9, on_level=directs.append)
+    directs = directs[3:5]
     reference = np.array(
         [
             fg.extrapolate_reference(lc, lf)
@@ -193,11 +193,12 @@ def test_criterion_07_contraction(model_coeff):
     config = fg.SolverConfig(q=1, m=2, p=2, nu=2)
 
     approx = fg.coarse_eigensolve(ctx, 1)
+    references = []
+    fg.direct_fine_solve(ctx, 1, 1e-11, on_level=references.append)
     per_level_gamma = []
     all_ratios = []
     for k in range(1, hier.n_levels):
-        reference = fg.direct_fine_solve(ctx, 1, 1e-11, level=k)
-        ref_vec = reference.vectors[:, 0]
+        ref_vec = references[k].vectors[:, 0]
         stiffness, mass = ctx.stiffness[k], ctx.mass[k]
         lifted = ctx.transfer[k - 1] @ approx.vectors
         lifted = sign_fix(lifted / fg.norm_a(mass, lifted[:, 0]))

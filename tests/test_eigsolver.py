@@ -501,16 +501,21 @@ class TestConcurrentSolves:
 
     def test_direct_fine_solve(self, general_ctx):
         def solve():
-            out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
-            return out.eigenvalues, out.work_units
+            levels = []
+            fg.direct_fine_solve(general_ctx, 2, 1e-9, on_level=levels.append)
+            return [(approx.eigenvalues, approx.work_units) for approx in levels]
 
         filters = list(warnings.filters)
-        serial_vals, serial_work = solve()
-        assert serial_work > 0
-        assert serial_work % general_ctx.cycle_work(general_ctx.n_levels - 1) == 0
-        for vals, work in run_in_threads(solve):
-            assert np.array_equal(vals, serial_vals)
-            assert work == serial_work
+        serial = solve()
+        increments = np.diff([0.0] + [work for _, work in serial])
+        assert increments[0] == 0 and increments[-1] > 0  # level 0 is dense
+        # Each level adds whole cycles from that level.
+        for k in range(1, general_ctx.n_levels):
+            assert increments[k] % general_ctx.cycle_work(k) == 0
+        for run in run_in_threads(solve):
+            for (vals, work), (serial_vals, serial_work) in zip(run, serial, strict=True):
+                assert np.array_equal(vals, serial_vals)
+                assert work == serial_work
         # Each call ignores LOBPCG's warnings while it runs, and no more.
         assert warnings.filters == filters
 
@@ -596,18 +601,20 @@ class TestDirectFineSolve:
         assert np.abs(out.eigenvalues - vals).max() <= 1e-9 * vals.max()
 
     def test_lam1_above_exact_every_level(self, small_ctx, lam1_exact):
-        for level in range(small_ctx.n_levels):
-            out = fg.direct_fine_solve(small_ctx, 1, 1e-9, level=level)
+        levels = []
+        fg.direct_fine_solve(small_ctx, 1, 1e-9, on_level=levels.append)
+        assert [out.level for out in levels] == list(range(small_ctx.n_levels))
+        for out in levels:
             assert out.eigenvalues[0] >= lam1_exact * (1.0 - 1e-12)
 
     def test_six_eigenvalues_converge_to_exact_set(self, model_coeff):
         exact, _ = fg.model_exact_data(6)
         hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
-        gaps = []
-        for level in range(3):
-            out = fg.direct_fine_solve(ctx, 6, 1e-9, level=level)
-            gaps.append(np.abs(np.sort(out.eigenvalues) - exact).max())
+        levels = []
+        fg.direct_fine_solve(ctx, 6, 1e-9, on_level=levels.append)
+        gaps = [np.abs(np.sort(out.eigenvalues) - exact).max() for out in levels]
+        assert len(gaps) == 3
         assert gaps[1] < gaps[0]
         assert gaps[2] < gaps[1]
 
@@ -668,8 +675,10 @@ class TestDirectFineSolve:
         spec = fg.general_problem()
         hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
         ctx = fg.build_mg_context(hier, spec.coefficients, nu=2)
-        for level in range(3):
-            out = fg.direct_fine_solve(ctx, 6, 1e-9, level=level)
+        levels = []
+        fg.direct_fine_solve(ctx, 6, 1e-9, on_level=levels.append)
+        assert [out.level for out in levels] == [0, 1, 2]
+        for level, out in enumerate(levels):
             ref = scipy.sparse.linalg.eigsh(
                 ctx.stiffness[level], k=6, M=ctx.mass[level], sigma=0
             )[0]
@@ -696,15 +705,40 @@ class TestDirectFineSolve:
 
         def spy(ctx, level, f, m):
             assert m == 1
-            columns.append(f.shape[1])
+            columns.append((level, f.shape[1]))
             return fg.mg_solve(ctx, level, f, m)
 
         monkeypatch.setattr("fmgeig.eigsolver.mg_solve", spy)
-        level = general_ctx.n_levels - 1
         out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
-        assert len(columns) > 1 and max(columns) > 1
-        assert out.work_units == sum(columns) * general_ctx.cycle_work(level)
+        assert len(columns) > 1 and max(n for _, n in columns) > 1
+        # The sweep's work is cumulative: each level's columns, summed.
+        assert out.work_units == sum(n * general_ctx.cycle_work(k) for k, n in columns)
         assert fg.direct_fine_solve(general_ctx, 2, 1e-9, level=0).work_units == 0.0
+
+    # The baseline's counterpart of the on_level contract of full_multigrid.
+    @pytest.mark.parametrize("problem", ["model", "general"])
+    def test_sweep_snapshots_match_shorter_sweeps(self, problem, monkeypatch):
+        coeff = fg.laplace_coefficients() if problem == "model" else fg.general_problem().coefficients
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(4), 4), coeff, nu=2)
+        columns = []
+
+        def spy(ctx, level, f, m):
+            columns.append((level, f.shape[1]))
+            return fg.mg_solve(ctx, level, f, m)
+
+        monkeypatch.setattr("fmgeig.eigsolver.mg_solve", spy)
+        snapshots = []
+        fg.direct_fine_solve(ctx, 2, 1e-9, on_level=snapshots.append)
+        assert [out.level for out in snapshots] == list(range(ctx.n_levels))
+        increments = np.diff([0.0] + [out.work_units for out in snapshots])
+        for k in range(ctx.n_levels):
+            preconditioned = sum(n for level, n in columns if level == k)
+            assert increments[k] == preconditioned * ctx.cycle_work(k)
+        for k, snapshot in enumerate(snapshots):
+            out = fg.direct_fine_solve(ctx, 2, 1e-9, level=k)
+            assert np.array_equal(out.eigenvalues, snapshot.eigenvalues)
+            assert np.array_equal(out.vectors, snapshot.vectors)
+            assert out.work_units == snapshot.work_units
 
     # Model eigenvalues on the unit square are pi^2 times 2, 5, 5, 8, 10,
     # 10, 13, 13, ...: q=1 ends before the 5 pi^2 double, q=2 after it, and
@@ -725,16 +759,48 @@ class TestDirectFineSolve:
         coeff = fg.laplace_coefficients() if problem == "model" else fg.general_problem().coefficients
         ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(1), 4), coeff, nu=2)
         fg.direct_fine_solve(ctx, q, 1e-9)
-        assert widths == [width]
+        # One call per level (49 dofs and up, all above 5 (q + 2)), one width.
+        assert widths == [width] * ctx.n_levels
+
+    def test_dense_level_passes_up_its_own_block(self, model_coeff, monkeypatch):
+        # 36, 169 and 729 dofs: with q=33 the sweep starts on level 0 (q + 3
+        # dofs), level 1 is still dense (fewer than 5 (q + 2)), and LOBPCG on
+        # level 2 starts from level 1's dense eigenvectors, prolongated.
+        class Started(Exception):
+            pass
+
+        def stop(a, block, **kwargs):
+            raise Started(block)
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stop)
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(7), 3), model_coeff, nu=2)
+        q = 33
+        with pytest.raises(Started) as started:
+            fg.direct_fine_solve(ctx, q, 1e-9)
+        block = started.value.args[0]
+        assert block.shape[0] == ctx.n_dofs(2) and q <= block.shape[1] <= q + 2
+        dense = fg.coarse_eigensolve(ctx, block.shape[1], 1).vectors
+        assert np.array_equal(block, ctx.transfer[1] @ dense)
+
+    def test_level_with_fewer_than_q_dofs_is_skipped(self, model_coeff):
+        # unit_square_mesh(2) has one interior dof, too few for q=2 pairs.
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(2), 3), model_coeff, nu=2)
+        levels = []
+        out = fg.direct_fine_solve(ctx, 2, 1e-9, on_level=levels.append)
+        assert [approx.level for approx in levels] == [1, 2] and out is levels[-1]
+        with pytest.raises(ValueError, match="q must be"):
+            fg.direct_fine_solve(ctx, 2, 1e-9, level=0)
 
     def test_block_rule_budget(self, model_coeff, monkeypatch):
         # Model q=5 on level 3 of the benchmark's seed-1 mesh: a block of 7
         # columns took 40 LOBPCG iterations and preconditioned 111 columns;
-        # the 6-column block takes 18 and 76.
+        # the 6-column block took 18 and 76 from the level-0 eigenvectors,
+        # and takes 13 and 58 from level 2's block.
         columns = []
 
         def spy(ctx, level, f, m):
-            columns.append(f.shape[1])
+            if level == 3:
+                columns.append(f.shape[1])
             return fg.mg_solve(ctx, level, f, m)
 
         monkeypatch.setattr("fmgeig.eigsolver.mg_solve", spy)
@@ -763,11 +829,27 @@ class TestDirectFineSolve:
         monkeypatch.setattr(warnings, "warn", record)
         monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall_first)
         out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
-        assert calls == [1, eigsolver.DIRECT_MAX_ITERS]
+        # Level 0 is dense; level 1 is retried, and levels 2 and 3 take one call.
+        assert calls == [1] + [eigsolver.DIRECT_MAX_ITERS] * 3
         assert (1, UserWarning) in [(call, category) for call, category, _ in warned]
         a, b, u = general_ctx.stiffness[out.level], general_ctx.mass[out.level], out.vectors
         residuals = np.linalg.norm(a @ u - (b @ u) * out.eigenvalues, axis=0)
         assert residuals.max() <= 1e-9 * abs(a).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_failure_names_its_level(self, general_ctx, monkeypatch):
+        # Every call stalls, so the first LOBPCG level (1; level 0 is dense)
+        # exhausts its attempts and the sweep stops there.
+        calls = []
+
+        def stall(a, block, **kwargs):
+            calls.append(a.shape[0])
+            return scipy.sparse.linalg.lobpcg(a, block, **dict(kwargs, maxiter=1))
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall)
+        with pytest.raises(fg.ConvergenceError, match="on level 1$"):
+            fg.direct_fine_solve(general_ctx, 2, 1e-9)
+        assert calls == [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
 
     @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "past-finest"])
     @pytest.mark.parametrize("solve", ["direct_fine_solve", "coarse_eigensolve"])

@@ -284,6 +284,15 @@ class TestMGSolve:
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         level = 2
         matrix = ctx.stiffness[level]
+        # theta is the energy norm of the error map E = I - C A on the
+        # 225-dof level, C one cycle from a zero guess applied to the columns
+        # of A: |E|_A = |L' E L^{-T}|_2 for A = L L'.  It reads 0.090.
+        dense = matrix.toarray()
+        error_map = np.eye(dense.shape[0]) - fg.mg_solve(ctx, level, dense, 1)
+        lower = fg.cholesky_dense(dense)
+        scaled = scipy.linalg.solve_triangular(lower, (lower.T @ error_map).T, lower=True).T
+        theta = np.linalg.norm(scaled, 2)
+        assert theta <= 0.35  # the bound of test_contraction_bound
         rng = np.random.default_rng(4)
         f = rng.standard_normal(matrix.shape[0])
         xstar = reference_solution(matrix, f)
@@ -293,8 +302,11 @@ class TestMGSolve:
         e1 = fg.norm_a(matrix, x1 - xstar)
         x2 = x1 + fg.mg_solve(ctx, level, f - matrix @ x1, 1)
         e2 = fg.norm_a(matrix, x2 - xstar)
-        theta = max(e1 / e0, e2 / e1)
-        assert e2 / e0 <= theta**2 * (1.0 + 1e-12)
+        # The cycle runs in float32: allow about 100 units of its round-off
+        # (6e-8), relative to e0.
+        slack = 1e-5
+        assert e1 / e0 <= theta + slack
+        assert e2 / e0 <= theta**2 + slack
 
     def test_rejects_zero_cycles(self, small_ctx):
         zero = np.zeros(small_ctx.n_dofs(0))
