@@ -57,6 +57,12 @@ __all__ = [
 # Local vertex pairs of a triangle's edges, in the order of Mesh.triangle_edges.
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
+#: Triangles per pass of the element kernels, in whole descendant runs, so
+#: that their (3, chunk) temporaries stay in cache.  Medians of 11 context
+#: builds (2-core host, 1 BLAS thread), 7-level model / 6-level general: 4k
+#: 0.36 / 0.11 s, 16k 0.34 / 0.12 s, 64k 0.33 / 0.14 s, one pass 0.40 / 0.14 s.
+_CHUNK = 16384
+
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -89,11 +95,11 @@ def interior_dofmap(mesh: Mesh) -> np.ndarray:
     return np.flatnonzero(~mesh.boundary_vertex)
 
 
-def _eval(func, qx, qy, name, shape=()):
+def _eval(func, qx, qy, name, first, shape=()):
     """``func`` at the quadrature points, ``shape`` per point; a constant broadcasts.
 
     ``qx`` and ``qy`` hold one row of point coordinates per midpoint and
-    one column per triangle.
+    one column per triangle, from triangle ``first`` on.
     """
     per_point = (qx.size,) + shape
     vals = np.asarray(func(qx.ravel(), qy.ravel()), dtype=float)
@@ -105,7 +111,7 @@ def _eval(func, qx, qy, name, shape=()):
     finite = np.isfinite(vals)  # checked before broadcasting a constant
     if not finite.all():
         finite = np.broadcast_to(finite, per_point).reshape(qx.shape + shape)
-        bad = int(np.nonzero(~finite)[1].min())
+        bad = first + int(np.nonzero(~finite)[1].min())
         raise AssemblyError("non-finite %s coefficient in triangle %d" % (name, bad))
     return np.broadcast_to(vals, per_point).reshape(qx.shape + shape)
 
@@ -132,6 +138,9 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None, corners: np.ndarray):
     source = np.concatenate([edge, edge, len(kept) + dofs])
     rows, cols = np.concatenate([lo, hi, dofs]), np.concatenate([hi, lo, dofs])
     pattern = sp.csr_array((source, (rows, cols)), shape=(n, n))
+    # Where each stored value sits among the edge sums followed by the vertex sums.
+    gather = np.concatenate([kept, mesh.edges.shape[0] + dofmap])[pattern.data]
+    indices, indptr = pattern.indices, pattern.indptr
 
     # Row k of the (3, T) entry arrays is local pair k, or corner k, of
     # every triangle, as in ``corners``.
@@ -141,8 +150,8 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None, corners: np.ndarray):
     def scatter(pair: np.ndarray, corner: np.ndarray) -> sp.csr_array:
         edge_sum = np.bincount(pair_edge, pair.ravel(), minlength=mesh.edges.shape[0])
         vertex_sum = np.bincount(corner_vertex, corner.ravel(), minlength=mesh.n_vertices)
-        data = np.concatenate([edge_sum[kept], vertex_sum[dofmap]])[pattern.data]
-        return sp.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n))
+        data = np.concatenate([edge_sum, vertex_sum])[gather]
+        return sp.csr_array((data, indices, indptr), shape=(n, n))
 
     return scatter
 
@@ -175,20 +184,19 @@ def _folded_tensor(tensor):
     return s00, s01, s11
 
 
-def _gradient_form(folded, ex, ey):
-    """Pair and corner entries ``g_i . S g_j`` of the rows ``S = (s00, s01, s11)``.
+def _gradient_form(folded, ex, ey, pair, corner):
+    """Pair and corner entries ``g_i . S g_j`` of the rows ``S = (s00, s01, s11)``,
+    written into the rows of ``pair`` and ``corner``.
 
     ``g_i = (-ey_i, ex_i)`` is the gradient of hat ``i`` times ``det``, so
     ``S`` the folded tensor over ``6 det`` gives ``integral(grad u . A grad v)``.
     """
     s00, s01, s11 = folded
-    pair, corner = np.empty_like(ex), np.empty_like(ex)
     for k, (_, b) in enumerate(_LOCAL_EDGES):
         hx = s01 * ex[k] - s00 * ey[k]  # S g_k
         hy = s11 * ex[k] - s01 * ey[k]
         corner[k] = hy * ex[k] - hx * ey[k]
         pair[k] = hy * ex[b] - hx * ey[b]
-    return pair, corner
 
 
 def _midpoint_form(fw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,17 +240,12 @@ def _descendant_products(levels: int) -> np.ndarray:
     return np.concatenate([lam * lam[..., [1, 2, 0]], lam * lam], axis=-1)
 
 
-def _coarse_midpoint_form(fw: np.ndarray, products: np.ndarray):
-    """Pair and corner entries of ``integral(f U V)`` for the coarse hats U, V.
-
-    ``fw`` is f times weight at every fine point; the coarse hats are the
-    barycentric coordinates of the ancestor, whose products ``products``
-    tabulates (see :func:`_descendant_products`).
-    """
-    moments = sum(
-        fw[m].reshape(-1, products.shape[1]) @ products[m] for m in range(3)
-    )
-    return moments.T[:3], moments.T[3:]
+def _coarse_moments(fw: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Per coarse triangle, the three pair then three corner entries of
+    ``integral(f U V)`` for the coarse hats U, V, from ``fw`` (f times weight
+    at the points of whole descendant runs) and the products of the coarse
+    hats there (:func:`_descendant_products`)."""
+    return sum(fw[m].reshape(-1, products.shape[1]) @ products[m] for m in range(3))
 
 
 def assemble_pencil(
@@ -270,58 +273,57 @@ def assemble_pencil(
     folded tensor summed over the run, and the midpoint terms the products
     of the coarse hats at the fine points (:func:`_descendant_products`).
     """
-    levels = None if coarse is None else _refinements(mesh, coarse[0])
+    levels = 0 if coarse is None else _refinements(mesh, coarse[0])
+    run = 4**levels  # fine rows descending from one coarse triangle
+    step = max(_CHUNK // run, 1) * run
     corners = np.ascontiguousarray(mesh.triangles.T)  # row i: corner i of each triangle
     scatter = _scatter_plan(mesh, dofmap, corners)
-    ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, corners)
-    det = ex[1] * ey[2] - ex[2] * ey[1]
-    weight = det / 6.0  # area / 3
-    folded = _folded_tensor(_eval(coeff.a, qx, qy, "diffusion", (2, 2)))
-    phi_vals = _eval(coeff.phi, qx, qy, "reaction")
-    reaction = phi_vals * weight if np.any(phi_vals) else None
-    rho_weight = _eval(coeff.rho, qx, qy, "mass weight") * weight
-    del qx, qy, phi_vals  # lowers the peak
-    if coarse is not None:
-        blocks = _coarse_blocks(*coarse, levels, folded, weight, reaction, rho_weight)
-    scale = 1.0 / (6.0 * det)
-    del det, weight
-    for s in folded:
-        s *= scale
-    del scale
-    pair, corner = _gradient_form(folded, ex, ey)
-    del folded, ex, ey
-    if reaction is not None:
-        extra = _midpoint_form(reaction)
-        pair += extra[0]
-        corner += extra[1]
-        del reaction, extra
-    stiffness = scatter(pair, corner)
-    del pair, corner
-    pair, corner = _midpoint_form(rho_weight)
-    del rho_weight
-    mass = scatter(pair, corner)
-    return (stiffness, mass) if coarse is None else (stiffness, mass) + blocks
+    stiffness, mass = (np.empty((2, 3, mesh.n_triangles)) for _ in range(2))  # pair, corner
+    if coarse is not None:  # per coarse triangle, sums over its descendants
+        products = _descendant_products(levels)
+        tensor = np.empty((3, coarse[0].n_triangles))
+        moments = np.zeros((2, coarse[0].n_triangles, 6))  # reaction, mass weight
+    for first in range(0, mesh.n_triangles, step):
+        part, own = slice(first, first + step), slice(first // run, (first + step) // run)
+        ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, corners[:, part])
+        det = ex[1] * ey[2] - ex[2] * ey[1]
+        weight = det / 6.0  # area / 3
+        folded = _folded_tensor(_eval(coeff.a, qx, qy, "diffusion", first, (2, 2)))
+        phi_vals = _eval(coeff.phi, qx, qy, "reaction", first)
+        reaction = phi_vals * weight if np.any(phi_vals) else None
+        rho_weight = _eval(coeff.rho, qx, qy, "mass weight", first) * weight
+        if coarse is not None:
+            runs = weight.reshape(-1, run)
+            for s, out in zip(folded, tensor[:, own]):
+                np.einsum("td,td->t", s.reshape(runs.shape), runs, out=out)
+            for fw, out in zip((reaction, rho_weight), moments[:, own]):
+                if fw is not None:
+                    out[:] = _coarse_moments(fw, products)
+        scale = 1.0 / (6.0 * det)
+        for s in folded:
+            s *= scale
+        _gradient_form(folded, ex, ey, *stiffness[:, :, part])
+        if reaction is not None:
+            stiffness[:, :, part] += _midpoint_form(reaction)
+        mass[:, :, part] = _midpoint_form(rho_weight)
+    stiffness = scatter(*stiffness)  # frees the entries before the mass scatter
+    pencil = (stiffness, scatter(*mass))
+    return pencil if coarse is None else pencil + _coarse_blocks(*coarse, tensor, moments)
 
 
-def _coarse_blocks(coarse: Mesh, dofmap, levels, folded, weight, reaction, rho_weight):
-    """Dense stiffness and mass blocks over the coarse dofs from the fine
-    point values: the folded tensor, the weights, and f times weight of the
-    reaction (or None) and of the mass weight, ``levels`` refinements down.
-    """
-    products = _descendant_products(levels)
-    runs = weight.reshape(coarse.n_triangles, products.shape[1])
-    tensor = [np.einsum("td,td->t", s.reshape(runs.shape), runs) for s in folded]
+def _coarse_blocks(coarse: Mesh, dofmap, tensor, moments):
+    """Dense stiffness and mass blocks over the coarse dofs from the sums over
+    each coarse triangle's descendants: the weighted folded tensor and the
+    moments of the reaction and of the mass weight."""
     corners = np.ascontiguousarray(coarse.triangles.T)
     ex, ey, _, _ = _edges_and_midpoints(coarse.vertices, corners)
     det = ex[1] * ey[2] - ex[2] * ey[1]
-    pair, corner = _gradient_form([s / det**2 for s in tensor], ex, ey)
-    if reaction is not None:
-        extra = _coarse_midpoint_form(reaction, products)
-        pair += extra[0]
-        corner += extra[1]
+    entries = np.empty((2,) + ex.shape)  # pair and corner
+    _gradient_form(tensor / det**2, ex, ey, *entries)
+    entries += moments[0].T.reshape(entries.shape)
     scatter = _scatter_plan(coarse, dofmap, corners)
-    mass = scatter(*_coarse_midpoint_form(rho_weight, products))
-    return scatter(pair, corner).toarray(), mass.toarray()
+    mass = scatter(*moments[1].T.reshape(entries.shape))
+    return scatter(*entries).toarray(), mass.toarray()
 
 
 def interpolate(mesh: Mesh, dofmap: np.ndarray, f) -> np.ndarray:

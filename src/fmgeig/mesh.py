@@ -6,13 +6,13 @@ recomputed from edge incidence (an edge belonging to exactly one triangle is
 a boundary edge), never trusted from input files.
 
 Regular refinement splits each triangle into four congruent children by
-connecting the edge midpoints, halving the mesh size, and records the
-coarse-to-fine interpolation of piecewise-linear vertex coefficients as a
-sparse prolongation matrix.  The fine mesh takes its edge table and
-boundary flags from the parent's, so only a mesh given by its connectivity
-alone sorts its edges.  :func:`build_hierarchy` chains refinements
-into a :class:`MeshHierarchy`, the nested sequence of spaces the multigrid
-solvers operate on.
+connecting the edge midpoints, halving the mesh size.  The fine mesh takes
+its edge table and boundary flags from the parent's, so only a mesh given
+by its connectivity alone sorts its edges, and the coarse-to-fine
+interpolation of piecewise-linear vertex coefficients is read off the
+parent's edge table when it is asked for, never stored.
+:func:`build_hierarchy` chains refinements into a :class:`MeshHierarchy`,
+the nested sequence of spaces the multigrid solvers operate on.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 1.11 KB per fine vertex (278-280 MiB at 263k
+#: Measured peak memory is about 1.0 KB per fine vertex (250 MiB at 263k
 #: vertices for the 7-level model problem from ``square:8``), so 2M vertices
-#: need about 2.2 GB, under a third of an 8 GB host.  The cap also keeps the
+#: need about 2.0 GB, under a third of an 8 GB host.  The cap also keeps the
 #: int32 connectivity and CSR index arrays of meshes and matrices in range.
 MAX_VERTICES = 2_000_000
 
@@ -81,20 +81,26 @@ class Mesh:
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Nested meshes ordered coarse to fine with inter-level prolongations.
+    """Nested meshes ordered coarse to fine.
 
-    ``prolongations[k]`` interpolates vertex coefficients of ``meshes[k]``
-    onto ``meshes[k + 1]``; their products embed any level into any finer one.
     Every refinement is the midpoint split, so the mesh size halves from
     one level to the next.
     """
 
     meshes: list[Mesh]
-    prolongations: list[sp.csr_array]
 
     @property
     def n_levels(self) -> int:
         return len(self.meshes)
+
+    @property
+    def prolongations(self) -> list[sp.csr_array]:
+        """``[k]`` interpolates vertex coefficients of ``meshes[k]`` onto ``meshes[k + 1]``,
+        built on each access from the edges of ``meshes[k]`` (not stored)."""
+        return [
+            _interpolation(coarse, np.arange(coarse.n_vertices), np.arange(fine.n_vertices))
+            for coarse, fine in zip(self.meshes, self.meshes[1:])
+        ]
 
 
 def _edge_table(
@@ -135,14 +141,6 @@ def _signed_doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.nda
     return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
-def _check_areas(vertices: np.ndarray, triangles: np.ndarray) -> None:
-    nonpositive = _signed_doubled_areas(vertices, triangles) <= 0.0
-    if nonpositive.any():
-        raise ValueError(
-            "triangle %d has non-positive area (orientation?)" % np.argmax(nonpositive)
-        )
-
-
 def _frozen_mesh(*arrays: np.ndarray) -> Mesh:
     for array in arrays:
         array.setflags(write=False)
@@ -150,13 +148,12 @@ def _frozen_mesh(*arrays: np.ndarray) -> Mesh:
 
 
 def _build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
-    """Validate connectivity, derive the edge table and boundary flags, freeze."""
+    """Validate connectivity (not areas), derive the edge table and boundary flags, freeze."""
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     nv = vertices.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError("triangle refers to vertex index outside 0..%d" % (nv - 1))
     triangles = np.ascontiguousarray(triangles, dtype=np.int32)
-    _check_areas(vertices, triangles)
     edges, triangle_edges, counts = _edge_table(triangles, nv)
     boundary = np.zeros(nv, dtype=bool)
     boundary[edges[counts == 1].ravel()] = True
@@ -247,10 +244,10 @@ def load_mesh(text: str) -> Mesh:
             raise MeshFormatError(
                 "vertex index out of range 0..%d" % (nv - 1), line=lineno
             )
-        if _signed_doubled_areas(vertices, triangles[row : row + 1])[0] <= 0.0:
-            raise MeshFormatError(
-                "triangle has zero or negative area", line=lineno
-            )
+    flat = np.flatnonzero(_signed_doubled_areas(vertices, triangles) <= 0.0)
+    if flat.size:
+        line = records[1 + nv + flat[0]][0]
+        raise MeshFormatError("triangle has zero or negative area", line=line)
 
     try:
         return _build_mesh(vertices, triangles)
@@ -288,7 +285,7 @@ def _descendant_corners(levels: int) -> np.ndarray:
     return corners
 
 
-def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
+def refine_regular(mesh: Mesh) -> Mesh:
     """Split every triangle into four congruent children via edge midpoints.
 
     Midpoint vertex ``V + e`` is created once for row ``e`` of
@@ -299,9 +296,8 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
     ``2e + s`` is the half of edge ``e`` at its endpoint ``edges[e, s]``,
     fine edge ``2E + 3t + k`` joins the midpoints of local pairs ``k`` and
     ``k + 1`` of triangle ``t``, and a midpoint is a boundary vertex when
-    its edge has one owner.  Returns the fine mesh and the prolongation
-    whose rows hold 1 for retained coarse vertices and two entries of 1/2
-    for midpoint vertices.
+    its edge has one owner.  Child areas are not checked; see
+    :func:`build_hierarchy`.
     """
     tri = mesh.triangles
     nv, nt = mesh.n_vertices, mesh.n_triangles
@@ -341,25 +337,42 @@ def refine_regular(mesh: Mesh) -> tuple[Mesh, sp.csr_array]:
     fine_edges = np.concatenate([halves, inner_edges.reshape(-1, 2)])
     owners = np.bincount(triangle_edges.ravel(), minlength=ne)
     boundary = np.concatenate([mesh.boundary_vertex, owners == 1])
+    return _frozen_mesh(fine_vertices, children, boundary, fine_edges, children_edges)
 
-    _check_areas(fine_vertices, children)
-    fine = _frozen_mesh(fine_vertices, children, boundary, fine_edges, children_edges)
 
-    # Row i < V is the unit vector of vertex i; row V + e averages the
-    # endpoints u < v of edge e, so every row's columns are already sorted.
-    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
-    indices = np.concatenate([np.arange(nv), edges.ravel()])
-    vals = np.concatenate([np.ones(nv), np.full(2 * ne, 0.5)])
-    prolongation = sp.csr_array((vals, indices, indptr), shape=(nv + ne, nv))
-    return fine, prolongation
+def _interpolation(coarse: Mesh, columns: np.ndarray, rows: np.ndarray) -> sp.csr_array:
+    """P1 interpolation from ``coarse`` onto its refinement, restricted to the
+    increasing vertex ids ``columns`` of ``coarse`` and ``rows`` of the fine
+    mesh (whose retained coarse vertices are ``columns``): vertex ``i < V``
+    keeps its value, midpoint ``V + e`` takes 1/2 from each endpoint
+    ``u < v`` of ``coarse.edges[e]`` that is a column, so rows come sorted.
+    """
+    n = len(columns)
+    column = np.full(coarse.n_vertices, -1, dtype=np.int32)
+    column[columns] = np.arange(n)
+    ends = column.take(coarse.edges.take(rows[n:] - coarse.n_vertices, axis=0))
+    kept = ends >= 0
+    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(kept.sum(axis=1))])
+    indices = np.concatenate([np.arange(n), ends[kept]])
+    vals = np.concatenate([np.ones(n), np.full(len(indices) - n, 0.5)])
+    return sp.csr_array((vals, indices, indptr), shape=(len(rows), n))
 
 
 def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
     """Refine ``coarse`` ``n_levels - 1`` times into a nested hierarchy.
 
-    The projected vertex count of every level is checked against
-    :data:`MAX_VERTICES` before any refinement is performed, so oversized
-    requests fail with a sizing error instead of exhausting memory.
+    Before any refinement, projected vertex counts are checked against
+    :data:`MAX_VERTICES` (a sizing error, not exhausted memory), and a coarse
+    triangle is refused if rounding could turn a descendant over.  Level k of
+    a triangle with area A, perimeter P and largest coordinate magnitude R
+    has exact areas A/4**k and perimeters P_k = P/2**k; each midpoint adds at
+    most u R (u = 2**-53) to its ends' error, so corners are within k u R of
+    exact per coordinate, moving a doubled area by at most sqrt(2) k u R P_k.
+    Evaluating one (|d1| |d2| <= sqrt(2) R P_k) flips its sign only below
+    3 sqrt(2) u R P_k, and errs by 3 sqrt(2) u R P for the coarse area.  So
+    level-k areas stay positive if 2A/4**k > sqrt(2) u R P (k + 3 + 3/2**k) /
+    2**k, implied for k >= 1 by (A/P)/2**k > (k + 4.5) u R / sqrt(2): the
+    finest k decides, and the check demands 2 (k + 5) u R, about 3x that.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1, got %r" % (n_levels,))
@@ -373,14 +386,18 @@ def build_hierarchy(coarse: Mesh, n_levels: int) -> MeshHierarchy:
             raise ValueError(
                 "projected fine vertex count %d exceeds cap %d" % (nv, MAX_VERTICES)
             )
+    k, corners = n_levels - 1, coarse.vertices.take(coarse.triangles, axis=0)
+    perimeter = np.hypot(*(corners - corners[:, [1, 2, 0]]).T).sum(axis=0)
+    rounding = (k + 5) * np.finfo(float).eps / 2 * np.abs(corners).max(axis=(1, 2))
+    thin = triangle_areas(coarse) / perimeter / 2**k <= 2.0 * rounding
+    if k > 0 and thin.any():
+        first = np.argmax(thin)
+        raise ValueError("coarse triangle %d is too thin to refine %d times" % (first, k))
 
     meshes = [coarse]
-    prolongations = []
     for _ in range(n_levels - 1):
-        fine, op = refine_regular(meshes[-1])
-        meshes.append(fine)
-        prolongations.append(op)
-    return MeshHierarchy(meshes, prolongations)
+        meshes.append(refine_regular(meshes[-1]))
+    return MeshHierarchy(meshes)
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:

@@ -1,17 +1,17 @@
 """Geometric multigrid V-cycles on the interior-dof stiffness hierarchy.
 
 The context assembles one stiffness and one mass matrix per hierarchy level,
-restricts the mesh prolongations to interior dofs (restriction is exactly
-the transpose, so coarse operators are the Galerkin products of fine ones on
-nested spaces with matching quadrature) and inverts the coarsest stiffness
-densely.  The coarsest space, interpolated to level ``k`` by ``P_k``, is the
-coarse part of the augmented space of the eigenvalue correction step; the
-assembly of each level also returns that space's two dense Galerkin blocks
-``P_k' A_k P_k`` and ``P_k' B_k P_k`` from its own quadrature values, so
-set-up forms no ``P_k`` and does no sparse-by-sparse product.  A V-cycle
-smooths, restricts the residual, recurses with an exact solve at the
-bottom, corrects and smooths again, on one vector or on all columns of an
-``(n, q)`` block at once.
+builds the interior-dof transfers from the coarse levels' edge tables
+(restriction is exactly the transpose, so coarse operators are the Galerkin
+products of fine ones on nested spaces with matching quadrature) and
+inverts the coarsest stiffness densely.  The coarsest space, interpolated
+to level ``k`` by ``P_k``, is the coarse part of the augmented space of the
+eigenvalue correction step; the assembly of each level also returns that
+space's two dense Galerkin blocks ``P_k' A_k P_k`` and ``P_k' B_k P_k``
+from its own quadrature values, so set-up forms no ``P_k`` and does no
+sparse-by-sparse product.  A V-cycle smooths, restricts the residual,
+recurses with an exact solve at the bottom, corrects and smooths again, on
+one vector or on all columns of an ``(n, q)`` block at once.
 
 A solve starts from a zero guess; a solve from an iterate ``x`` is ``x``
 plus a solve on the defect ``f - A_k x``.  :func:`mg_solve` is a float64
@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from .fem import CoefficientField, assemble_pencil, interior_dofmap
 from .linalg import cholesky_dense
-from .mesh import MeshHierarchy
+from .mesh import MeshHierarchy, _interpolation
 
 __all__ = ["MGContext", "build_mg_context", "mg_solve"]
 
@@ -115,12 +115,13 @@ def build_mg_context(
 ) -> MGContext:
     """Assemble level matrices and transfer operators for ``hierarchy``.
 
-    Interior-restricted transfers are obtained by deleting boundary rows and
-    columns of the mesh prolongations; interior basis functions vanish on
-    the boundary, so nothing is lost.  The coarse blocks of level ``k >= 1``
-    come from its assembly (:func:`~fmgeig.fem.assemble_pencil` with the
-    coarse mesh); those of level 0 are its own matrices.  A level 0 with more
-    than :data:`MAX_COARSE_DOFS` dofs raises ``ValueError`` before assembly.
+    Each transfer interpolates a level's interior dofs onto the next's, read
+    off the coarse level's edge table: the mesh prolongation less its
+    boundary rows and columns (interior basis functions vanish there), never
+    formed.  The coarse blocks of level ``k >= 1`` come from its assembly
+    (:func:`~fmgeig.fem.assemble_pencil` with the coarse mesh); those of
+    level 0 are its own matrices.  A level 0 with more than
+    :data:`MAX_COARSE_DOFS` dofs raises ``ValueError`` before assembly.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1, got %r" % (nu,))
@@ -142,8 +143,8 @@ def build_mg_context(
     ]
     stiffness, mass, coarse_stiffness, coarse_mass = map(list, zip(*levels))
     transfer = [
-        full[dofmaps[k + 1]][:, dofmaps[k]]
-        for k, full in enumerate(hierarchy.prolongations)
+        _interpolation(mesh, dofmaps[k], dofmaps[k + 1])
+        for k, mesh in enumerate(hierarchy.meshes[:-1])
     ]
 
     inv_diag = [1.0 / a.diagonal() for a in stiffness]

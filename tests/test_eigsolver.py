@@ -574,7 +574,7 @@ class TestLShapedDomain:
             fg.full_multigrid(hier, model_coeff, fg.SolverConfig(), ctx=ctx)
 
     def test_converges_with_direct_parity(self, model_coeff):
-        coarse, _ = fg.refine_regular(fg.load_mesh(L_SHAPE_FILE))
+        coarse = fg.refine_regular(fg.load_mesh(L_SHAPE_FILE))
         hier = fg.build_hierarchy(coarse, 4)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         config = fg.SolverConfig(q=1, m=2, p=2, nu=2)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmgeig as fg
+from fmgeig import fem
 from fmgeig.errors import AssemblyError, NotPositiveDefiniteError
 
 from conftest import first_eigenfunction, shuffled_meshes, shuffled_square_mesh
@@ -180,6 +181,30 @@ class TestSharedStructure:
         pencil = fg.assemble_pencil(mesh, dofmap, POLYNOMIAL_COEFFICIENTS)
         assert digest(pencil) == RECORDED_DIGESTS[case]
 
+    @pytest.mark.parametrize("case", sorted(RECORDED_DIGESTS))
+    def test_bit_identical_over_several_chunks(self, case, monkeypatch):
+        # Five triangles per chunk: 18, 32 and 72 triangles end in a ragged
+        # chunk of 3 or 2, and the scatter still sums in the same order.
+        monkeypatch.setattr(fem, "_CHUNK", 5)
+        self.test_bit_identical_to_recorded_assembly(case)
+
+    @pytest.mark.parametrize("problem", ["model", "general"])
+    def test_chunked_hierarchy_matches_one_pass(self, problem, monkeypatch):
+        # 70 triangles per chunk: 17 runs of 4 on level 1 and 4 runs of 16 on
+        # level 2, both with a ragged last chunk over 18 coarse triangles.
+        coeff = {"model": fg.laplace_coefficients(), "general": fg.general_problem().coefficients}
+        hierarchy = fg.build_hierarchy(shuffled_square_mesh(3, 0.2, 4), 3)
+        whole = fg.build_mg_context(hierarchy, coeff[problem])
+        monkeypatch.setattr(fem, "_CHUNK", 70)
+        chunked = fg.build_mg_context(hierarchy, coeff[problem])
+        for k in range(hierarchy.n_levels):
+            assert digest([chunked.stiffness[k], chunked.mass[k]]) == digest(
+                [whole.stiffness[k], whole.mass[k]]
+            )
+            for name in ("coarse_stiffness", "coarse_mass"):
+                one, other = getattr(chunked, name)[k], getattr(whole, name)[k]
+                assert np.abs(one - other).max() <= 1e-13 * np.abs(other).max()
+
 
 class TestStiffness:
     def test_reference_element_matrix(self):
@@ -299,6 +324,30 @@ class TestStiffness:
             out[x > 0.6] = np.inf
             return out
 
+        message = "non-finite %s coefficient in triangle %d$" % (name, lowest)
+        with pytest.raises(AssemblyError, match=message):
+            fg.assemble_pencil(mesh, None, with_coefficient(field, poisoned))
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
+    def test_nonfinite_coefficient_in_later_chunk_names_global_triangle(
+        self, field, chunk, monkeypatch
+    ):
+        # Points right of x = 0.8 are poisoned; the lowest triangle owning
+        # one lies past the first chunk, whose index it must not be named by.
+        mesh = shuffled_square_mesh(4, 0.2, 9)
+        tri = mesh.triangles
+        mid_x = 0.5 * (mesh.vertices[tri, 0] + mesh.vertices[tri[:, [1, 2, 0]], 0])
+        lowest = int(np.flatnonzero((mid_x > 0.8).any(axis=1))[0])
+        assert lowest >= chunk
+        name, value = COEFFICIENTS[field]
+
+        def poisoned(x, y):
+            out = per_point(value)(x, y)
+            out[x > 0.8] = np.inf
+            return out
+
+        monkeypatch.setattr(fem, "_CHUNK", chunk)
         message = "non-finite %s coefficient in triangle %d$" % (name, lowest)
         with pytest.raises(AssemblyError, match=message):
             fg.assemble_pencil(mesh, None, with_coefficient(field, poisoned))

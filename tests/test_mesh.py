@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fmgeig as fg
 from fmgeig import mesh as mesh_module
 from fmgeig.errors import MeshFormatError
 
-from conftest import mesh_text, shuffled_meshes
+from conftest import benchmark_mesh, mesh_text, shuffled_meshes
 
 
 def edge_counts(mesh):
@@ -42,6 +42,12 @@ def benchmark_style_mesh(nx=8, seed=1):
     shift = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
     shift[mesh.boundary_vertex] = 0.0
     return fg.load_mesh(mesh_text(mesh.vertices + shift, mesh.triangles))
+
+
+def refined_with_prolongation(mesh):
+    """The refined mesh and the prolongation onto it, from a 2-level hierarchy."""
+    hierarchy = fg.build_hierarchy(mesh, 2)
+    return hierarchy.meshes[1], hierarchy.prolongations[0]
 
 
 def edge_keys(mesh):
@@ -138,6 +144,13 @@ class TestLoadMesh:
         with pytest.raises(MeshFormatError, match="line 5"):
             fg.load_mesh(text)
 
+    def test_first_flat_triangle_named_by_its_line(self):
+        # Triangles 1 (flat) and 2 (clockwise) are bad; a comment line sits
+        # between them and the vertices.
+        text = "4 3\n0 0\n1 0\n0 1\n2 0\n# triangles\n0 1 2\n0 1 3\n0 2 1\n"
+        with pytest.raises(MeshFormatError, match="line 8"):
+            fg.load_mesh(text)
+
     def test_bad_header(self):
         with pytest.raises(MeshFormatError, match="line 1"):
             fg.load_mesh("3\n0 0\n1 0\n0 1\n0 1 2\n")
@@ -214,30 +227,30 @@ class TestEdgeTable:
 class TestRefineRegular:
     def test_single_triangle_split(self):
         mesh = fg.load_mesh("3 1\n0 0\n1 0\n0 1\n0 1 2\n")
-        fine, _ = fg.refine_regular(mesh)
+        fine = fg.refine_regular(mesh)
         assert fine.n_vertices == 6
         assert fine.n_triangles == 4
 
     def test_vertex_and_triangle_counts(self):
-        fine, _ = fg.refine_regular(fg.unit_square_mesh(2))
+        fine = fg.refine_regular(fg.unit_square_mesh(2))
         assert fine.n_vertices == 25  # V + E = 9 + 16
         assert fine.n_triangles == 32
 
     def test_orientation_and_conformity_preserved(self):
-        fine, _ = fg.refine_regular(fg.unit_square_mesh(3))
+        fine = fg.refine_regular(fg.unit_square_mesh(3))
         assert np.all(fg.triangle_areas(fine) > 0.0)
         assert np.all(np.isin(edge_counts(fine), (1, 2)))
 
     def test_area_preserved(self):
         mesh = fg.load_mesh("3 1\n0 0\n1 0.25\n-0.125 1\n0 1 2\n")
-        fine, _ = fg.refine_regular(mesh)
+        fine = fg.refine_regular(mesh)
         coarse_area = fg.triangle_areas(mesh).sum()
         rel = abs(fg.triangle_areas(fine).sum() - coarse_area) / coarse_area
         assert rel <= 1e-13
 
     def test_prolongation_structure(self):
         mesh = fg.unit_square_mesh(2)
-        fine, op = fg.refine_regular(mesh)
+        fine, op = refined_with_prolongation(mesh)
         assert op.shape == (fine.n_vertices, mesh.n_vertices)
         dense = op.toarray()
         sums = dense.sum(axis=1)
@@ -255,8 +268,8 @@ class TestRefineRegular:
         mesh = shuffled_perturbed_mesh()
         order = np.random.default_rng(1).permutation(mesh.n_triangles)
         permuted = fg.load_mesh(mesh_text(mesh.vertices, mesh.triangles[order]))
-        fine, op = fg.refine_regular(mesh)
-        fine_permuted, op_permuted = fg.refine_regular(permuted)
+        fine, op = refined_with_prolongation(mesh)
+        fine_permuted, op_permuted = refined_with_prolongation(permuted)
         assert np.array_equal(fine.vertices, fine_permuted.vertices)
         assert np.array_equal(triangle_set(fine), triangle_set(fine_permuted))
         for attr in ("data", "indices", "indptr"):
@@ -265,7 +278,7 @@ class TestRefineRegular:
 
     def test_prolongation_reproduces_linears_exactly(self):
         mesh = fg.unit_square_mesh(2)
-        fine, op = fg.refine_regular(mesh)
+        fine, op = refined_with_prolongation(mesh)
         coarse_vals = mesh.vertices[:, 0] + mesh.vertices[:, 1]
         fine_vals = fine.vertices[:, 0] + fine.vertices[:, 1]
         assert np.array_equal(op @ coarse_vals, fine_vals)
@@ -326,6 +339,68 @@ class TestRefinementProperties:
                     dense = matrix.toarray()
                     assert np.array_equal(dense, dense.T)
                     fg.cholesky_dense(dense)
+
+
+def check_areas(vertices, triangles):
+    """The child area check :func:`refine_regular` made on every level before
+    :func:`build_hierarchy` checked the coarse shapes instead: the oracle."""
+    nonpositive = mesh_module._signed_doubled_areas(vertices, triangles) <= 0.0
+    if nonpositive.any():
+        raise ValueError(
+            "triangle %d has non-positive area (orientation?)" % np.argmax(nonpositive)
+        )
+
+
+@st.composite
+def sliver_meshes(draw):
+    """One triangle whose apex sits 2**-55 to 2**-20 base lengths off its
+    base, up to 1e6 from the origin: near-degenerate enough for rounding
+    to turn some of its descendants over."""
+    angle = st.floats(0.0, 2.0 * np.pi)
+    where, turn = draw(angle), draw(angle)
+    offset = 10.0 ** draw(st.floats(0.0, 6.0)) * np.array([np.cos(where), np.sin(where)])
+    base = 10.0 ** draw(st.floats(-3.0, 0.0)) * np.array([np.cos(turn), np.sin(turn)])
+    height = 2.0 ** draw(st.floats(-55.0, -20.0))
+    apex = offset + draw(st.floats(0.0, 1.0)) * base + height * np.array([-base[1], base[0]])
+    vertices = np.array([offset, offset + base, apex])
+    triangles = np.array([[0, 1, 2]])
+    assume(mesh_module._signed_doubled_areas(vertices, triangles)[0] > 0.0)
+    return mesh_module._build_mesh(vertices, triangles)
+
+
+class TestCoarseShapeCheck:
+    """build_hierarchy refuses, before refining, a coarse triangle whose
+    descendants rounding could turn over, in place of a check per level."""
+
+    @settings(max_examples=300)
+    @given(mesh=sliver_meshes(), n_levels=st.integers(2, 7))
+    def test_refuses_every_mesh_the_per_level_check_refuses(self, mesh, n_levels):
+        try:
+            hierarchy = fg.build_hierarchy(mesh, n_levels)
+        except ValueError as exc:
+            assert "too thin" in str(exc)
+            return
+        for level in hierarchy.meshes[1:]:
+            check_areas(level.vertices, level.triangles)
+
+    def test_refuses_a_sliver_the_per_level_check_refuses(self):
+        # A unit base 1e3 from the origin, the apex 3e-13 above its middle:
+        # the per-level check turned a level-2 child over.
+        vertices = np.array([[1e3, 1e3], [1e3 + 1.0, 1e3], [1e3 + 0.5, 1e3 + 3e-13]])
+        mesh = mesh_module._build_mesh(vertices, np.array([[0, 1, 2]]))
+        level2 = fg.refine_regular(fg.refine_regular(mesh))
+        with pytest.raises(ValueError, match="non-positive area"):
+            check_areas(level2.vertices, level2.triangles)
+        with pytest.raises(ValueError, match="coarse triangle 0 is too thin to refine 2 times"):
+            fg.build_hierarchy(mesh, 3)
+        assert fg.build_hierarchy(mesh, 1).n_levels == 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_benchmark_meshes_pass_at_eight_levels(self, seed, monkeypatch):
+        # 1.05M projected vertices, under the cap; the check comes first, so
+        # refinement is stubbed out.
+        monkeypatch.setattr(mesh_module, "refine_regular", lambda mesh: mesh)
+        assert fg.build_hierarchy(benchmark_mesh(seed), 8).n_levels == 8
 
 
 class TestInheritedTables:
