@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .errors import SolverError
-from .eigsolver import SolverConfig
+from .eigsolver import DIRECT_TOL_FLOOR, SolverConfig
 from .harness import general_problem, model_problem, run_study
 from .mesh import load_mesh, triangle_areas, unit_square_mesh
 
@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--direct-tol", type=float, default=1e-9,
-        help="direct baseline residual target, at least 1e-12;"
-        " -1e-9 and the like need --direct-tol=VALUE",
+        help="direct baseline residual target, at least %g;"
+        " -1e-9 and the like need --direct-tol=VALUE" % DIRECT_TOL_FLOOR,
     )
     run.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
             args.levels,
             config,
             args.out,
-            compare_direct=args.compare_direct or spec.exact_eigenvalues is None,
+            compare_direct=args.compare_direct,
             direct_tol=args.direct_tol,
         )
     except ValueError as exc:

@@ -271,10 +271,15 @@ def full_multigrid(
     ``on_level`` (if given) is called with the accepted :class:`EigenApprox`
     of each level, which is exactly what a run with fewer levels would
     return, its ``work_units`` included.  A caller-provided ``ctx`` is used
-    as is (its smoothing count overrides ``config.nu``).
+    as is (its smoothing count overrides ``config.nu``); it must have as many
+    levels as ``hierarchy``.
     """
     if ctx is None:
         ctx = build_mg_context(hierarchy, coeff, config.nu)
+    elif ctx.n_levels != hierarchy.n_levels:
+        raise ValueError(
+            "ctx has %d levels but the hierarchy has %d" % (ctx.n_levels, hierarchy.n_levels)
+        )
 
     approx = coarse_eigensolve(ctx, config.q)
     if on_level is not None:
@@ -294,56 +299,47 @@ def direct_fine_solve(
 ) -> EigenApprox:
     """Baseline solver: one nested LOBPCG sweep from the coarsest level to ``level``.
 
-    A level with fewer than ``5 (q + 2)`` dofs is solved densely, with no
-    work (one with fewer than ``q`` is skipped unless it is ``level``).  On
-    the others :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates a
-    block of ``w`` columns started from the level below's, prolongated, so
+    On every level :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates
+    a block of ``w`` columns started from the level below's, prolongated, so
     it only removes the error the refinement adds (Knyazev & Neymeyr, ETNA
-    15, 2003).  The first block is the ``w`` lowest dense eigenvectors of
-    the first level with ``q + 3`` dofs, and dense levels above pass up
-    their own: the same functions whatever the vertex numbering, so the
+    15, 2003); on a level with fewer than ``5 w`` dofs scipy solves densely
+    instead, with no work.  Level 0 starts from its ``w`` lowest dense
+    eigenvectors: the same functions whatever the vertex numbering, so the
     iteration does not depend on it.  LOBPCG stops only when every column
     has converged, at the rate of the gap after the block, so ``w`` in
-    ``{q, q+1, q+2}`` minimises ``lambda_w / lambda_{w+1}`` of the first
-    dense eigenvalues (the smallest ``w`` on ties).  The preconditioner, one
-    float32 V-cycle from a zero guess (:func:`~fmgeig.multigrid.mg_solve`
-    with ``m=1``), is symmetric positive definite up to round-off, as
-    LOBPCG's theory assumes.  LOBPCG's target is ``tol * max|A|``, and the
+    ``{q, q+1, q+2}`` minimises ``lambda_w / lambda_{w+1}`` of the lowest
+    ``min(q + 3, n_0)`` dense eigenvalues of level 0 (the smallest ``w`` on
+    ties; ``w = q`` when ``n_0 = q``).  The preconditioner, one float32
+    V-cycle from a zero guess (:func:`~fmgeig.multigrid.mg_solve` with
+    ``m=1``), is symmetric positive definite up to round-off, as LOBPCG's
+    theory assumes.  LOBPCG's target is ``tol * max|A|``, and the
     first ``q`` columns of its mass-orthonormal block, up to sign, must meet
     ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
     naming the level is raised after ``DIRECT_ATTEMPTS`` calls.  This check
-    alone decides: the ``UserWarning`` of a call that stops above its target
-    is ignored, which changes the process-wide warning filters while the
-    call runs, so concurrent solves take turns at LOBPCG.  ``on_level`` (if
-    given) gets each level's accepted :class:`EigenApprox`, exactly what a
-    sweep ending there returns, with the work of the sweep so far: one cycle
-    per column preconditioned.  No iterate comes from :func:`full_multigrid`.
+    alone decides: LOBPCG's ``UserWarning`` (a call that stops above its
+    target, a dense fallback) is ignored, which changes the process-wide
+    warning filters while the call runs, so concurrent solves take turns at
+    LOBPCG.  ``on_level`` (if given) gets each level's accepted
+    :class:`EigenApprox`, exactly what a sweep ending there returns, with
+    the work of the sweep so far: one cycle per column preconditioned.  No
+    iterate comes from :func:`full_multigrid`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
     if level is None:
         level = ctx.n_levels - 1
     _check_level(ctx, level)
-    start = next((k for k in range(level + 1) if ctx.n_dofs(k) >= q + 3), level + 1)
+    # q + 3 pairs, or all of a smaller level 0; fewer than q dofs raise.
+    dense = coarse_eigensolve(ctx, min(q + 3, max(q, ctx.n_dofs(0))))
+    lam = dense.eigenvalues
+    width = q + int(np.argmin(lam[q - 1 : -1] / lam[q:])) if lam.size > q else q
+    block = dense.vectors[:, :width]
     work = 0.0
     for k in range(level + 1):
-        n = ctx.n_dofs(k)
-        if n < q and k < level:
-            continue  # too few dofs for q pairs
-        if k == start:
-            dense = coarse_eigensolve(ctx, q + 3, k)
-            lam = dense.eigenvalues
-            width = q + int(np.argmin(lam[q - 1 : q + 2] / lam[q : q + 3]))
-            block = dense.vectors[:, :width]
-        if n < 5 * (q + 2):
-            approx = coarse_eigensolve(ctx, q, k)
-            if k > start:
-                block = coarse_eigensolve(ctx, width, k).vectors
-        else:
-            if k > start:
-                block = ctx.transfer[k - 1] @ block
-            approx, block = _lobpcg_level(ctx, k, block, q, tol, work)
-            work = approx.work_units
+        if k > 0:
+            block = ctx.transfer[k - 1] @ block
+        approx, block = _lobpcg_level(ctx, k, block, q, tol, work)
+        work = approx.work_units
         if on_level is not None:
             on_level(approx)
     return approx

@@ -261,14 +261,15 @@ def run_study(
     One full multigrid pass records every level's accepted eigenpairs (the
     scheme is incremental, so these match runs with fewer levels exactly).
     With ``compare_direct`` one nested sweep of the baseline solver records
-    its levels the same way and, when the problem has no exact eigenvalues,
-    its two finest levels provide the Richardson-extrapolated reference for
-    both methods.  Both methods' ``work_units`` and ``wall_ms`` are
+    its levels the same way.  A problem without exact eigenvalues always
+    runs the baseline, whose two finest levels provide the
+    Richardson-extrapolated reference for both methods.  Both methods' ``work_units`` and ``wall_ms`` are
     cumulative from the start of their sweep.  Output is deterministic apart
     from the wall-clock column.  A ``direct_tol`` that is not finite or lies
     below :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` is rejected before any
     work when the baseline runs.
     """
+    compare_direct = compare_direct or spec.exact_eigenvalues is None
     if compare_direct and not DIRECT_TOL_FLOOR <= direct_tol < np.inf:
         raise ValueError(
             "direct_tol must be finite and at least %g (the baseline's round-off"

@@ -410,6 +410,12 @@ class TestFullMultigrid:
         out = fg.full_multigrid(small_hierarchy, model_coeff, config, ctx=small_ctx)
         assert b_orthonormality_drift(small_ctx.mass[out.level], out.vectors) <= 1e-10
 
+    @pytest.mark.parametrize("ctx_levels", [2, 4])
+    def test_context_of_another_depth_rejected(self, small_hierarchy, model_coeff, ctx_levels):
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(4), ctx_levels), model_coeff, nu=2)
+        with pytest.raises(ValueError, match="ctx has %d levels but the hierarchy has 3" % ctx_levels):
+            fg.full_multigrid(small_hierarchy, model_coeff, fg.SolverConfig(), ctx=ctx)
+
     @staticmethod
     def mixed_and_float64_runs(request, monkeypatch, problem, config):
         """Finest eigenvalues of ``config`` on the problem's small hierarchy,
@@ -759,37 +765,53 @@ class TestDirectFineSolve:
         coeff = fg.laplace_coefficients() if problem == "model" else fg.general_problem().coefficients
         ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(1), 4), coeff, nu=2)
         fg.direct_fine_solve(ctx, q, 1e-9)
-        # One call per level (49 dofs and up, all above 5 (q + 2)), one width.
+        # One call per level, all of one width.
         assert widths == [width] * ctx.n_levels
 
-    def test_dense_level_passes_up_its_own_block(self, model_coeff, monkeypatch):
-        # 36, 169 and 729 dofs: with q=33 the sweep starts on level 0 (q + 3
-        # dofs), level 1 is still dense (fewer than 5 (q + 2)), and LOBPCG on
-        # level 2 starts from level 1's dense eigenvectors, prolongated.
-        class Started(Exception):
-            pass
+    def test_dense_level_passes_up_its_own_block(self, general_ctx, monkeypatch):
+        # Level 0's 9 dofs are fewer than 5 w, so scipy solves it densely;
+        # every level makes one call, started from the level below's block.
+        calls = []
 
-        def stop(a, block, **kwargs):
-            raise Started(block)
+        def spy(a, block, **kwargs):
+            start = block.copy()  # LOBPCG scales its start block in place
+            vals, out = scipy.sparse.linalg.lobpcg(a, block, **kwargs)
+            calls.append((a.shape[0], start, out))
+            return vals, out
 
-        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stop)
-        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(7), 3), model_coeff, nu=2)
-        q = 33
-        with pytest.raises(Started) as started:
-            fg.direct_fine_solve(ctx, q, 1e-9)
-        block = started.value.args[0]
-        assert block.shape[0] == ctx.n_dofs(2) and q <= block.shape[1] <= q + 2
-        dense = fg.coarse_eigensolve(ctx, block.shape[1], 1).vectors
-        assert np.array_equal(block, ctx.transfer[1] @ dense)
-
-    def test_level_with_fewer_than_q_dofs_is_skipped(self, model_coeff):
-        # unit_square_mesh(2) has one interior dof, too few for q=2 pairs.
-        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(2), 3), model_coeff, nu=2)
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", spy)
         levels = []
-        out = fg.direct_fine_solve(ctx, 2, 1e-9, on_level=levels.append)
-        assert [approx.level for approx in levels] == [1, 2] and out is levels[-1]
-        with pytest.raises(ValueError, match="q must be"):
-            fg.direct_fine_solve(ctx, 2, 1e-9, level=0)
+        fg.direct_fine_solve(general_ctx, 2, 1e-9, on_level=levels.append)
+        assert [n for n, _, _ in calls] == [general_ctx.n_dofs(k) for k in range(4)]
+        dense = fg.coarse_eigensolve(general_ctx, calls[0][1].shape[1])
+        assert np.array_equal(levels[0].eigenvalues, dense.eigenvalues[:2])
+        assert np.array_equal(levels[0].vectors, dense.vectors[:, :2])
+        assert levels[0].work_units == 0.0
+        for k in range(1, 4):
+            assert np.array_equal(calls[k][1], general_ctx.transfer[k - 1] @ calls[k - 1][2])
+
+    def test_fewer_than_q_coarse_dofs_raise_before_any_call(self, model_coeff, monkeypatch):
+        # unit_square_mesh(2) has one interior dof, too few for q=2 pairs.
+        def never(*args, **kwargs):
+            raise AssertionError("lobpcg called")
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", never)
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(2), 3), model_coeff, nu=2)
+        for level in (0, 2):
+            with pytest.raises(ValueError, match="q must be"):
+                fg.direct_fine_solve(ctx, 2, 1e-9, level=level)
+
+    # unit_square_mesh(3) has 4 interior dofs: q + 1 for q=3, q for q=4.
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_coarse_space_below_q_plus_3_dofs(self, model_coeff, q):
+        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(3), 2), model_coeff, nu=2)
+        levels = []
+        fg.direct_fine_solve(ctx, q, 1e-9, on_level=levels.append)
+        for level, out in enumerate(levels):
+            vals, _ = fg.generalized_eig_dense(
+                ctx.stiffness[level].toarray(), ctx.mass[level].toarray(), q
+            )
+            assert np.abs(out.eigenvalues - vals).max() <= 1e-10 * vals.max()
 
     def test_block_rule_budget(self, model_coeff, monkeypatch):
         # Model q=5 on level 3 of the benchmark's seed-1 mesh: a block of 7
@@ -811,14 +833,16 @@ class TestDirectFineSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_stalled_call_is_retried_under_error_filter(self, general_ctx, monkeypatch):
-        # The first call stops after one iteration, far above its target,
-        # and LOBPCG warns; the residual check, not the warning, decides.
+        # The first call on level 1 stops after one iteration, far above its
+        # target, and LOBPCG warns; the residual check, not the warning, decides.
+        level_of = {general_ctx.n_dofs(k): k for k in range(general_ctx.n_levels)}
         calls, warned = [], []
 
-        def stall_first(a, block, **kwargs):
-            if not calls:
+        def stall_first_on_level_1(a, block, **kwargs):
+            level = level_of[a.shape[0]]
+            if level == 1 and all(done != 1 for done, _ in calls):
                 kwargs["maxiter"] = 1
-            calls.append(kwargs["maxiter"])
+            calls.append((level, kwargs["maxiter"]))
             return scipy.sparse.linalg.lobpcg(a, block, **kwargs)
 
         def record(message, category=UserWarning, *args, **kwargs):
@@ -827,19 +851,24 @@ class TestDirectFineSolve:
 
         warn = warnings.warn
         monkeypatch.setattr(warnings, "warn", record)
-        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall_first)
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall_first_on_level_1)
         out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
-        # Level 0 is dense; level 1 is retried, and levels 2 and 3 take one call.
-        assert calls == [1] + [eigsolver.DIRECT_MAX_ITERS] * 3
-        assert (1, UserWarning) in [(call, category) for call, category, _ in warned]
+        # Level 0 is scipy's dense fallback; level 1 is retried, and levels 2
+        # and 3 take one call.
+        full = eigsolver.DIRECT_MAX_ITERS
+        assert calls == [(0, full), (1, 1), (1, full), (2, full), (3, full)]
+        assert any(
+            call == 2 and category is UserWarning and "requested tolerance" in text
+            for call, category, text in warned
+        )
         a, b, u = general_ctx.stiffness[out.level], general_ctx.mass[out.level], out.vectors
         residuals = np.linalg.norm(a @ u - (b @ u) * out.eigenvalues, axis=0)
         assert residuals.max() <= 1e-9 * abs(a).max()
 
     @pytest.mark.filterwarnings("error")
     def test_failure_names_its_level(self, general_ctx, monkeypatch):
-        # Every call stalls, so the first LOBPCG level (1; level 0 is dense)
-        # exhausts its attempts and the sweep stops there.
+        # Every call stalls: scipy's dense fallback still solves level 0, and
+        # level 1 exhausts its attempts and the sweep stops there.
         calls = []
 
         def stall(a, block, **kwargs):
@@ -849,7 +878,7 @@ class TestDirectFineSolve:
         monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall)
         with pytest.raises(fg.ConvergenceError, match="on level 1$"):
             fg.direct_fine_solve(general_ctx, 2, 1e-9)
-        assert calls == [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
+        assert calls == [general_ctx.n_dofs(0)] + [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
 
     @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "past-finest"])
     @pytest.mark.parametrize("solve", ["direct_fine_solve", "coarse_eigensolve"])

@@ -174,6 +174,21 @@ class TestRunStudy:
         fmg_errs = [r.abs_err[0] for r in rows if r.method == "fmg"]
         assert fmg_errs[-1] < fmg_errs[0]
 
+    def test_problem_without_exact_eigenvalues_runs_the_baseline(self, tmp_path):
+        rows = fg.run_study(
+            fg.general_problem(), fg.unit_square_mesh(4), 3,
+            fg.SolverConfig(q=1), tmp_path / "study.csv", compare_direct=False,
+        )
+        assert [r.method for r in rows] == ["fmg"] * 3 + ["direct"] * 3
+        assert all(row.lambda_ref is not None and row.abs_err is not None for row in rows)
+
+    def test_bad_direct_tol_rejected_when_the_baseline_runs_anyway(self, tmp_path):
+        with pytest.raises(ValueError, match="direct_tol"):
+            fg.run_study(
+                fg.general_problem(), fg.unit_square_mesh(4), 2,
+                fg.SolverConfig(q=1), tmp_path / "study.csv", direct_tol=1e-13,
+            )
+
 
 class TestCLI:
     def test_run_model_study(self, tmp_path):
@@ -246,6 +261,12 @@ class TestCLI:
         ])
         assert code == 2
         assert not out.exists()
+
+    def test_direct_tol_help_states_the_floor(self, capsys, monkeypatch):
+        monkeypatch.setattr("fmgeig.cli.DIRECT_TOL_FLOOR", 2.5e-11)
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "at least 2.5e-11;" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "tol_args",
