@@ -19,12 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import SolverError
 from .eigsolver import DIRECT_TOL_FLOOR, SolverConfig
 from .harness import general_problem, model_problem, run_study
-from .mesh import load_mesh, triangle_areas, unit_square_mesh
+from .mesh import load_mesh, unit_square_mesh
 
 __all__ = ["main"]
 
@@ -34,23 +32,6 @@ def _parse_mesh(source: str):
         return unit_square_mesh(int(source.split(":", 1)[1]))
     with open(source, "r", encoding="ascii") as handle:
         return load_mesh(handle.read())
-
-
-def _require_unit_square(mesh) -> None:
-    """Reject a mesh that does not cover the unit square.
-
-    The model problem's reference values are the unit-square eigenvalues; a
-    mesh inside the vertex bounding box ``[0,1]^2`` with total area 1 covers
-    exactly that domain.
-    """
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    area = float(triangle_areas(mesh).sum())
-    if max(np.abs(lo).max(), np.abs(hi - 1.0).max(), abs(area - 1.0)) > 1e-12:
-        raise ValueError(
-            "--problem model needs a mesh of the unit square, got bounding box"
-            " [%g, %g] x [%g, %g] and area %g" % (lo[0], hi[0], lo[1], hi[1], area)
-        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,8 +77,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         coarse = _parse_mesh(args.mesh)
-        if args.problem == "model":
-            _require_unit_square(coarse)
         spec = model_problem(args.nev) if args.problem == "model" else general_problem()
         config = SolverConfig(q=args.nev, m=args.m, p=args.p, nu=args.smooth)
     except (ValueError, OSError) as exc:

@@ -24,13 +24,12 @@ and corner entries per vertex with ``np.bincount``, in a fixed order, and
 gathered into both entries of each edge, so the matrices are exactly
 symmetric by construction and runs are bit reproducible.
 
-Given the coarse mesh a level was refined from, the same pass also returns
-the dense Galerkin blocks of the coarse space on that level.  Regular
-refinement numbers the descendants of a coarse triangle as one contiguous
-run of fine rows, with fixed barycentric corners, and the coarse hats are
-linear on each: the gradient term is the weighted folded tensor summed over
-the run, and the midpoint terms contract the fine point values with one
-exact table of coarse hat products shared by all coarse triangles.
+Given the coarse mesh a level was refined from, the result also holds the
+dense Galerkin blocks of the coarse space on that level.  The coarse hats
+are linear on each descendant ``d`` of a coarse triangle, so its entries sum
+``C_d' K_d C_d`` from the fine element matrices ``K_d``, with ``C_d`` the
+coarse hats at the corners of ``d``: fixed by refinement for every coarse
+triangle, so one exact table does the sum.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ __all__ = [
 # Local vertex pairs of a triangle's edges, in the order of Mesh.triangle_edges.
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
-#: Triangles per pass of the element kernels, in whole descendant runs, so
-#: that their (3, chunk) temporaries stay in cache.  Medians of 11 context
-#: builds (2-core host, 1 BLAS thread), 7-level model / 6-level general: 4k
-#: 0.36 / 0.11 s, 16k 0.34 / 0.12 s, 64k 0.33 / 0.14 s, one pass 0.40 / 0.14 s.
+#: Triangles per pass of the element kernels, so that their (3, chunk)
+#: temporaries stay in cache.  Medians of 11 context builds (2-core host, 1
+#: BLAS thread), 7-level model / 6-level general: 4k 0.36 / 0.11 s, 16k
+#: 0.34 / 0.12 s, 64k 0.33 / 0.14 s, one pass 0.40 / 0.14 s.
 _CHUNK = 16384
 
 
@@ -228,24 +227,21 @@ def _refinements(mesh: Mesh, coarse: Mesh) -> int:
     return k
 
 
-def _descendant_products(levels: int) -> np.ndarray:
-    """Products of a triangle's barycentric coordinates at its descendants' points.
+def _galerkin_table(levels: int) -> np.ndarray:
+    """Row ``6 d + e``, column ``o``: the weight of fine entry ``e`` of
+    descendant ``d`` in coarse entry ``o``, after ``levels`` refinements.
 
-    Slab ``m``, row ``d`` is taken at the midpoint of local pair ``m`` of
-    descendant ``d`` (see :func:`~fmgeig.mesh._descendant_corners`): the
-    pair products ``l_i l_{i+1}``, then the squares ``l_i**2``, all exact.
+    Entries are the three local pairs, then the three corners.  The weights
+    are those of ``C_d' K_d C_d``, with ``C_d`` the coarse hats at the corners
+    of ``d`` (:func:`~fmgeig.mesh._descendant_corners`): exact, and the
+    identity for ``levels = 0``.
     """
-    corners = _descendant_corners(levels)
-    lam = (0.5 * (corners + corners[:, [1, 2, 0]])).transpose(1, 0, 2)
-    return np.concatenate([lam * lam[..., [1, 2, 0]], lam * lam], axis=-1)
-
-
-def _coarse_moments(fw: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Per coarse triangle, the three pair then three corner entries of
-    ``integral(f U V)`` for the coarse hats U, V, from ``fw`` (f times weight
-    at the points of whole descendant runs) and the products of the coarse
-    hats there (:func:`_descendant_products`)."""
-    return sum(fw[m].reshape(-1, products.shape[1]) @ products[m] for m in range(3))
+    c = _descendant_corners(levels)  # (descendant, fine corner, coarse hat)
+    i, j = np.array(_LOCAL_EDGES + ((0, 0), (1, 1), (2, 2))).T  # coarse (I, J) per column
+    a, b = i[:, None], j[:, None]  # fine (a, b) per row
+    table = c[:, a, i] * c[:, b, j] + c[:, b, i] * c[:, a, j]
+    table[:, 3:] *= 0.5  # a corner is one entry of K_d, a pair two
+    return table.reshape(-1, 6)
 
 
 def assemble_pencil(
@@ -265,65 +261,53 @@ def assemble_pencil(
 
     ``coarse = (coarse_mesh, coarse_dofmap)`` names the mesh that ``mesh``
     was refined from by :func:`~fmgeig.mesh.refine_regular`, any number of
-    times (``ValueError`` otherwise).  The result then also holds the dense
-    Galerkin blocks ``P' A P`` and ``P' B P``, with ``P`` interpolating the
-    coarse dofs onto ``mesh``, from the same quadrature values: the
-    descendants of coarse triangle ``t`` are a contiguous run of rows, the
-    coarse hats are linear on each, so the gradient term needs the weighted
-    folded tensor summed over the run, and the midpoint terms the products
-    of the coarse hats at the fine points (:func:`_descendant_products`).
+    times including none (``ValueError`` otherwise).  The result then also
+    holds the dense Galerkin blocks ``P' A P`` and ``P' B P``, with ``P``
+    interpolating the coarse dofs onto ``mesh``, summed from the fine
+    entries (:func:`_coarse_blocks`); with ``mesh`` as its own coarse mesh
+    they are the two matrices, bit for bit.
     """
     levels = 0 if coarse is None else _refinements(mesh, coarse[0])
-    run = 4**levels  # fine rows descending from one coarse triangle
-    step = max(_CHUNK // run, 1) * run
     corners = np.ascontiguousarray(mesh.triangles.T)  # row i: corner i of each triangle
     scatter = _scatter_plan(mesh, dofmap, corners)
     stiffness, mass = (np.empty((2, 3, mesh.n_triangles)) for _ in range(2))  # pair, corner
-    if coarse is not None:  # per coarse triangle, sums over its descendants
-        products = _descendant_products(levels)
-        tensor = np.empty((3, coarse[0].n_triangles))
-        moments = np.zeros((2, coarse[0].n_triangles, 6))  # reaction, mass weight
-    for first in range(0, mesh.n_triangles, step):
-        part, own = slice(first, first + step), slice(first // run, (first + step) // run)
+    for first in range(0, mesh.n_triangles, _CHUNK):
+        part = slice(first, first + _CHUNK)
         ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, corners[:, part])
         det = ex[1] * ey[2] - ex[2] * ey[1]
         weight = det / 6.0  # area / 3
         folded = _folded_tensor(_eval(coeff.a, qx, qy, "diffusion", first, (2, 2)))
         phi_vals = _eval(coeff.phi, qx, qy, "reaction", first)
-        reaction = phi_vals * weight if np.any(phi_vals) else None
         rho_weight = _eval(coeff.rho, qx, qy, "mass weight", first) * weight
-        if coarse is not None:
-            runs = weight.reshape(-1, run)
-            for s, out in zip(folded, tensor[:, own]):
-                np.einsum("td,td->t", s.reshape(runs.shape), runs, out=out)
-            for fw, out in zip((reaction, rho_weight), moments[:, own]):
-                if fw is not None:
-                    out[:] = _coarse_moments(fw, products)
         scale = 1.0 / (6.0 * det)
         for s in folded:
             s *= scale
         _gradient_form(folded, ex, ey, *stiffness[:, :, part])
-        if reaction is not None:
-            stiffness[:, :, part] += _midpoint_form(reaction)
+        if np.any(phi_vals):
+            stiffness[:, :, part] += _midpoint_form(phi_vals * weight)
         mass[:, :, part] = _midpoint_form(rho_weight)
+    blocks = () if coarse is None else _coarse_blocks(*coarse, levels, stiffness, mass)
     stiffness = scatter(*stiffness)  # frees the entries before the mass scatter
-    pencil = (stiffness, scatter(*mass))
-    return pencil if coarse is None else pencil + _coarse_blocks(*coarse, tensor, moments)
+    return (stiffness, scatter(*mass)) + blocks
 
 
-def _coarse_blocks(coarse: Mesh, dofmap, tensor, moments):
-    """Dense stiffness and mass blocks over the coarse dofs from the sums over
-    each coarse triangle's descendants: the weighted folded tensor and the
-    moments of the reaction and of the mass weight."""
-    corners = np.ascontiguousarray(coarse.triangles.T)
-    ex, ey, _, _ = _edges_and_midpoints(coarse.vertices, corners)
-    det = ex[1] * ey[2] - ex[2] * ey[1]
-    entries = np.empty((2,) + ex.shape)  # pair and corner
-    _gradient_form(tensor / det**2, ex, ey, *entries)
-    entries += moments[0].T.reshape(entries.shape)
-    scatter = _scatter_plan(coarse, dofmap, corners)
-    mass = scatter(*moments[1].T.reshape(entries.shape))
-    return scatter(*entries).toarray(), mass.toarray()
+def _coarse_blocks(coarse: Mesh, dofmap, levels: int, *forms: np.ndarray) -> tuple:
+    """Dense coarse-dof blocks of the forms whose fine entries are ``forms``.
+
+    Each coarse triangle sums ``C_d' K_d C_d`` over its descendants ``d``
+    (:func:`_galerkin_table`), each ``d``'s six terms first: on the gradient
+    form they cancel to ``O(4**-levels)``, while sums over ``d`` per fine
+    entry, cancelling only at the end, grow ``4**levels`` times larger.
+    """
+    table, run = _galerkin_table(levels), 4**levels  # run: descendants per coarse triangle
+    step = max(16384 // run, 1)  # coarse triangles per block; fixed, as rounding may vary with it
+    sums = np.empty((len(forms), coarse.n_triangles, 6))
+    for f, out in zip(forms, sums):
+        rows = f.reshape(6, -1, run).transpose(1, 2, 0)  # a view; reshape copies each block
+        for t in range(0, len(out), step):
+            out[t : t + step] = rows[t : t + step].reshape(-1, 6 * run) @ table
+    scatter = _scatter_plan(coarse, dofmap, np.ascontiguousarray(coarse.triangles.T))
+    return tuple(scatter(*s.T.reshape(2, 3, -1)).toarray() for s in sums)
 
 
 def interpolate(mesh: Mesh, dofmap: np.ndarray, f) -> np.ndarray:

@@ -28,7 +28,7 @@ from .eigsolver import (
     full_multigrid,
 )
 from .fem import CoefficientField, interpolate, laplace_coefficients, norm_a
-from .mesh import Mesh, MeshHierarchy, build_hierarchy
+from .mesh import Mesh, MeshHierarchy, build_hierarchy, triangle_areas
 from .multigrid import MGContext, build_mg_context
 
 __all__ = [
@@ -247,6 +247,23 @@ def _write_csv(path, rows: list[StudyRow]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
+def _require_unit_square(mesh: Mesh) -> None:
+    """Reject a mesh that does not cover the unit square.
+
+    The model problem's reference values are the unit-square eigenvalues; a
+    mesh inside the vertex bounding box ``[0,1]^2`` with total area 1 covers
+    exactly that domain.
+    """
+    lo = mesh.vertices.min(axis=0)
+    hi = mesh.vertices.max(axis=0)
+    area = float(triangle_areas(mesh).sum())
+    if max(np.abs(lo).max(), np.abs(hi - 1.0).max(), abs(area - 1.0)) > 1e-12:
+        raise ValueError(
+            "the model problem needs a mesh of the unit square, got bounding box"
+            " [%g, %g] x [%g, %g] and area %g" % (lo[0], hi[0], lo[1], hi[1], area)
+        )
+
+
 def run_study(
     spec: ProblemSpec,
     coarse_mesh: Mesh,
@@ -267,7 +284,9 @@ def run_study(
     cumulative from the start of their sweep.  Output is deterministic apart
     from the wall-clock column.  A ``direct_tol`` that is not finite or lies
     below :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` is rejected before any
-    work when the baseline runs.
+    work when the baseline runs.  The model problem (``spec.name ==
+    "model"``), whose references are the unit square's eigenvalues, is
+    rejected before any work on a mesh of another domain.
     """
     compare_direct = compare_direct or spec.exact_eigenvalues is None
     if compare_direct and not DIRECT_TOL_FLOOR <= direct_tol < np.inf:
@@ -275,6 +294,8 @@ def run_study(
             "direct_tol must be finite and at least %g (the baseline's round-off"
             " floor), got %r" % (DIRECT_TOL_FLOOR, direct_tol)
         )
+    if spec.name == "model":
+        _require_unit_square(coarse_mesh)
     hierarchy = build_hierarchy(coarse_mesh, n_levels)
     ctx = build_mg_context(hierarchy, spec.coefficients, config.nu)
 

@@ -153,6 +153,9 @@ def _build_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     nv = vertices.shape[0]
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError("triangle refers to vertex index outside 0..%d" % (nv - 1))
+    unused = np.flatnonzero(np.bincount(triangles.ravel(), minlength=nv) == 0)
+    if unused.size:
+        raise ValueError("vertex %d is not a corner of any triangle" % unused[0])
     triangles = np.ascontiguousarray(triangles, dtype=np.int32)
     edges, triangle_edges, counts = _edge_table(triangles, nv)
     boundary = np.zeros(nv, dtype=bool)
@@ -196,7 +199,8 @@ def load_mesh(text: str) -> Mesh:
     ------
     MeshFormatError
         On malformed lines, out-of-range indices or non-positive triangle
-        areas, reporting the 1-based line number.
+        areas, reporting the 1-based line number, and on a vertex that no
+        triangle uses or an edge that does not conform.
     """
     records = [
         (lineno, line.split())

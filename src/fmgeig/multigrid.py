@@ -7,11 +7,12 @@ products of fine ones on nested spaces with matching quadrature) and
 inverts the coarsest stiffness densely.  The coarsest space, interpolated
 to level ``k`` by ``P_k``, is the coarse part of the augmented space of the
 eigenvalue correction step; the assembly of each level also returns that
-space's two dense Galerkin blocks ``P_k' A_k P_k`` and ``P_k' B_k P_k``
-from its own quadrature values, so set-up forms no ``P_k`` and does no
-sparse-by-sparse product.  A V-cycle smooths, restricts the residual,
-recurses with an exact solve at the bottom, corrects and smooths again, on
-one vector or on all columns of an ``(n, q)`` block at once.
+space's dense Galerkin blocks ``P_k' A_k P_k`` and ``P_k' B_k P_k``, summed
+from its element matrices with one exact table of coarse hat values, so
+set-up forms no ``P_k`` and does no sparse-by-sparse product.  A V-cycle
+smooths, restricts the residual, recurses with an exact solve at the
+bottom, corrects and smooths again, on one vector or on all columns of an
+``(n, q)`` block at once.
 
 A solve starts from a zero guess; a solve from an iterate ``x`` is ``x``
 plus a solve on the defect ``f - A_k x``.  :func:`mg_solve` is a float64
@@ -118,10 +119,11 @@ def build_mg_context(
     Each transfer interpolates a level's interior dofs onto the next's, read
     off the coarse level's edge table: the mesh prolongation less its
     boundary rows and columns (interior basis functions vanish there), never
-    formed.  The coarse blocks of level ``k >= 1`` come from its assembly
-    (:func:`~fmgeig.fem.assemble_pencil` with the coarse mesh); those of
-    level 0 are its own matrices.  A level 0 with more than
-    :data:`MAX_COARSE_DOFS` dofs raises ``ValueError`` before assembly.
+    formed.  The coarse blocks of every level come from its assembly
+    (:func:`~fmgeig.fem.assemble_pencil` with the coarse mesh) as sums of
+    its element matrices; on level 0 they are its own matrices, bit for bit.
+    A level 0 with more than :data:`MAX_COARSE_DOFS` dofs raises
+    ``ValueError`` before assembly.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1, got %r" % (nu,))
@@ -135,13 +137,8 @@ def build_mg_context(
             % (len(dofmaps[0]), MAX_COARSE_DOFS)
         )
     coarse = (hierarchy.meshes[0], dofmaps[0])
-    a_0, b_0 = assemble_pencil(*coarse, coeff)
-    levels = [(a_0, b_0, a_0.toarray(), b_0.toarray())]
-    levels += [
-        assemble_pencil(mesh, dofmap, coeff, coarse)
-        for mesh, dofmap in zip(hierarchy.meshes[1:], dofmaps[1:])
-    ]
-    stiffness, mass, coarse_stiffness, coarse_mass = map(list, zip(*levels))
+    pencils = (assemble_pencil(m, d, coeff, coarse) for m, d in zip(hierarchy.meshes, dofmaps))
+    stiffness, mass, coarse_stiffness, coarse_mass = map(list, zip(*pencils))
     transfer = [
         _interpolation(mesh, dofmaps[k], dofmaps[k + 1])
         for k, mesh in enumerate(hierarchy.meshes[:-1])

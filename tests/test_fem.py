@@ -190,8 +190,9 @@ class TestSharedStructure:
 
     @pytest.mark.parametrize("problem", ["model", "general"])
     def test_chunked_hierarchy_matches_one_pass(self, problem, monkeypatch):
-        # 70 triangles per chunk: 17 runs of 4 on level 1 and 4 runs of 16 on
-        # level 2, both with a ragged last chunk over 18 coarse triangles.
+        # 70 triangles per chunk, which splits the descendants of a coarse
+        # triangle on levels 1 and 2 and leaves a ragged last chunk on each
+        # level; the coarse blocks are summed from the finished fine entries.
         coeff = {"model": fg.laplace_coefficients(), "general": fg.general_problem().coefficients}
         hierarchy = fg.build_hierarchy(shuffled_square_mesh(3, 0.2, 4), 3)
         whole = fg.build_mg_context(hierarchy, coeff[problem])
@@ -202,8 +203,7 @@ class TestSharedStructure:
                 [whole.stiffness[k], whole.mass[k]]
             )
             for name in ("coarse_stiffness", "coarse_mass"):
-                one, other = getattr(chunked, name)[k], getattr(whole, name)[k]
-                assert np.abs(one - other).max() <= 1e-13 * np.abs(other).max()
+                assert np.array_equal(getattr(chunked, name)[k], getattr(whole, name)[k])
 
 
 class TestStiffness:

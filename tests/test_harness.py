@@ -23,6 +23,16 @@ def data_lines(text):
     return [line for line in text.strip().splitlines() if not line.startswith("#")]
 
 
+def rectangle_mesh_text():
+    """[0,2] x [0,1] with 4 x 2 cells: the unit-square eigenvalues would be
+    reported as the model problem's reference on it."""
+    lines = ["15 16"]
+    lines += ["%g %g" % (0.5 * i, 0.5 * j) for j in range(3) for i in range(5)]
+    for v in [5 * j + i for j in range(2) for i in range(4)]:
+        lines += ["%d %d %d" % (v, v + 1, v + 6), "%d %d %d" % (v, v + 6, v + 5)]
+    return "\n".join(lines) + "\n"
+
+
 class TestModelExactData:
     def test_first_eigenvalue(self):
         vals, _ = fg.model_exact_data(1)
@@ -164,6 +174,17 @@ class TestRunStudy:
         for row in rows:
             assert row.lambdas[0] >= 2 * PI2 * (1 - 1e-13)
 
+    def test_model_problem_refuses_a_mesh_of_another_domain(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("the hierarchy was built before the domain check")
+
+        monkeypatch.setattr("fmgeig.harness.build_hierarchy", build)
+        with pytest.raises(ValueError, match=r"unit square, got bounding box \[0, 2\]"):
+            fg.run_study(
+                fg.model_problem(1), fg.load_mesh(rectangle_mesh_text()), 4,
+                fg.SolverConfig(), None,
+            )
+
     def test_general_problem_gets_extrapolated_reference(self, tmp_path):
         rows = fg.run_study(
             fg.general_problem(), fg.unit_square_mesh(4), 3,
@@ -232,14 +253,8 @@ class TestCLI:
         assert code == 0
 
     def test_model_problem_rejects_non_unit_square_mesh(self, tmp_path):
-        # [0,2] x [0,1] with 4 x 2 cells: the unit-square eigenvalues would
-        # be reported as its reference.
-        lines = ["15 16"]
-        lines += ["%g %g" % (0.5 * i, 0.5 * j) for j in range(3) for i in range(5)]
-        for v in [5 * j + i for j in range(2) for i in range(4)]:
-            lines += ["%d %d %d" % (v, v + 1, v + 6), "%d %d %d" % (v, v + 6, v + 5)]
         mesh_path = tmp_path / "rectangle.mesh"
-        mesh_path.write_text("\n".join(lines) + "\n")
+        mesh_path.write_text(rectangle_mesh_text())
         out = tmp_path / "cli.csv"
         code = main([
             "run", "--problem", "model", "--mesh", str(mesh_path),
@@ -314,6 +329,19 @@ class TestCLI:
             "--levels", "2", "--out", str(tmp_path / "cli.csv"),
         ])
         assert code == 2
+
+    def test_vertex_without_triangle_is_argument_error(self, tmp_path, capsys):
+        # Vertices 4 and 5 belong to no triangle.
+        mesh_path = tmp_path / "stray.mesh"
+        mesh_path.write_text("6 2\n0 0\n1 0\n1 1\n0 1\n2 0\n2 1\n0 1 2\n0 2 3\n")
+        out = tmp_path / "cli.csv"
+        code = main([
+            "run", "--problem", "model", "--mesh", str(mesh_path),
+            "--levels", "2", "--out", str(out),
+        ])
+        assert code == 2
+        assert "vertex 4 is not a corner of any triangle" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_mesh_content_is_argument_error(self, tmp_path):
         mesh_path = tmp_path / "bad.mesh"

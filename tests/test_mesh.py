@@ -163,6 +163,17 @@ class TestLoadMesh:
         with pytest.raises(MeshFormatError):
             fg.load_mesh("3 2\n0 0\n1 0\n0 1\n0 1 2\n")
 
+    def test_vertex_without_triangle_rejected(self):
+        # The unit square in two triangles, with two more vertices beside it.
+        text = "6 2\n0 0\n1 0\n1 1\n0 1\n2 0\n2 1\n0 1 2\n0 2 3\n"
+        with pytest.raises(MeshFormatError, match="vertex 4 is not a corner of any triangle"):
+            fg.load_mesh(text)
+
+    def test_build_mesh_names_the_first_unused_vertex(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [0.0, 1.0], [6.0, 6.0]])
+        with pytest.raises(ValueError, match="^vertex 2 is not a corner of any triangle$"):
+            mesh_module._build_mesh(vertices, np.array([[0, 1, 3]]))
+
     def test_nonconforming_rejected(self):
         # Three positively oriented triangles all sharing edge (0, 1).
         text = "5 3\n0 0\n1 0\n0 1\n0 -1\n0.5 0.5\n0 1 2\n0 3 1\n0 1 4\n"

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 import fmgeig as fg
 from fmgeig import multigrid
 
-from conftest import CountingMatrix, folded_prolongation, mesh_text, shuffled_meshes
+from conftest import (
+    CountingMatrix, folded_prolongation, mesh_text, shuffled_meshes, shuffled_square_mesh,
+)
 
 
 def reference_solution(matrix, f):
@@ -143,6 +145,23 @@ class TestBuildContext:
         bound = 1e-10 * np.abs(coarse).max()
         for block in small_ctx.coarse_stiffness:
             assert np.abs(block - coarse).max() <= bound
+
+    @pytest.mark.parametrize("coarse_args, n_levels", [((4, 0.2, 0), 6), ((2, 0.2, 0), 8)])
+    def test_model_coarse_stiffness_round_off_grows_with_the_descendants(
+        self, coarse_args, n_levels, model_coeff
+    ):
+        # Level k sums C_d' K_d C_d over the 4**k descendants d of each coarse
+        # triangle.  P1 stiffness entries do not scale with the triangle, so
+        # each K_d has O(1) entries and each descendant adds an O(u) rounding
+        # of them; its terms are summed before the descendants are, so no
+        # partial sum outgrows the O(1) result.  The blocks may drift from
+        # A_0 by O(4**k u) relative to its largest entry, and by no more.
+        hierarchy = fg.build_hierarchy(shuffled_square_mesh(*coarse_args), n_levels)
+        ctx = fg.build_mg_context(hierarchy, model_coeff)
+        coarse = ctx.stiffness[0].toarray()
+        unit = np.finfo(float).eps / 2
+        for k, block in enumerate(ctx.coarse_stiffness):
+            assert np.abs(block - coarse).max() <= 16 * 4**k * unit * np.abs(coarse).max()
 
     def test_invalid_nu(self, small_hierarchy, model_coeff):
         with pytest.raises(ValueError):
