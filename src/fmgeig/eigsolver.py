@@ -10,8 +10,11 @@ correction step runs ``m`` V-cycles on the auxiliary source problem
 for all tracked pairs at once, as one block of V-cycles on the defects
 ``lambda_j B_k u_j - A_k u_j``, then solves a small dense eigenproblem on
 the coarse space augmented with the smoothed vectors and maps the Ritz
-pairs back to the fine level.  The cost is dominated by the V-cycles, so
-the full sweep over levels is linear in the finest dof count.
+pairs back to the fine level, mass-orthonormal by a Cholesky-QR of the
+small pencil.  The cost is dominated by the V-cycles, so the full sweep over
+levels is linear in the finest dof count.  The solvers track ``q`` pairs
+plus up to two guard columns that end the block at a gap of the coarse
+spectrum.
 
 Returned blocks are orthonormal in the mass inner product, with eigenvalues
 in ascending order.  In each vector the first entry within a relative 1e-8
@@ -66,6 +69,15 @@ _LOBPCG_LOCK = threading.Lock()
 #: Relative pivot threshold below which :func:`one_correction_step` drops
 #: augmented-basis columns as numerically dependent.
 GRAM_DROP_TOL = 1e-12
+#: Rows per BLAS call of the thin block products of a correction step.  A
+#: panel of up to 8 columns fits in L2, and OpenBLAS runs its product on one
+#: thread (it threads a product only above 4 * 65536 multiply-adds).
+_PANEL = 4096
+#: Largest ``max_j |c_j|^2 max diag(B_aug)`` of a step's lift coefficients
+#: ``c`` that the small-pencil Gram orthonormalizes alone (see
+#: :func:`one_correction_step`).  It reads 1.0-1.66 on the benchmark
+#: workloads, and 30 and 2.3e4 on near-dependent input blocks.
+_LIFT_GUARD = 10.0
 
 
 @dataclass
@@ -125,13 +137,41 @@ class SolverConfig:
 
 
 def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left' right`` for thin ``(n, q)`` blocks.
+    """``left' right`` for thin ``(n, q)`` blocks, summed over row panels.
 
-    ``np.einsum`` without ``optimize`` runs its own single-threaded loops:
-    on these shapes threaded BLAS costs more than it saves, and the sums do
-    not depend on the thread count.
+    Each panel of ``_PANEL`` rows is one single-threaded BLAS call, so the
+    sums do not depend on the thread count: 0.3-0.5 ms at n = 65,025 and
+    q = 6, against 2-3 ms for ``np.einsum`` (2-core host).  A one-column
+    block goes to ``np.einsum``, twice as fast as 64 one-column BLAS calls.
     """
-    return np.einsum("ij,ik->jk", left, right)
+    if left.shape[1] == 1:
+        return np.einsum("ij,ik->jk", left, right)
+    out = np.zeros((left.shape[1], right.shape[1]))
+    for start in range(0, left.shape[0], _PANEL):
+        out += left[start : start + _PANEL].T @ right[start : start + _PANEL]
+    return out
+
+
+def _add_product(out: np.ndarray, block: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``out += block @ coef`` in place for a thin ``(n, r)`` block; returns ``out``.
+
+    Row panels as in :func:`_gram`: OpenBLAS splits the whole-block
+    ``(65025, 6) @ (6, 6)`` over two threads and took 32 ms for it.  A
+    one-column block is a broadcast multiply, a third of the cost of BLAS.
+    """
+    if block.shape[1] == 1:
+        out += block * coef
+        return out
+    for start in range(0, block.shape[0], _PANEL):
+        out[start : start + _PANEL] += block[start : start + _PANEL] @ coef
+    return out
+
+
+def _lower_inverse(lower: np.ndarray) -> np.ndarray:
+    """``L^{-1}`` of a lower triangular ``L`` by LAPACK ``dtrtri``; a 6x6 solve
+    against the identity took a median 8 ms on two OpenBLAS threads."""
+    inverse, _ = scipy.linalg.lapack.dtrtri(lower, lower=1)
+    return inverse
 
 
 def _column_norms(block: np.ndarray) -> np.ndarray:
@@ -152,6 +192,28 @@ def _restrict(ctx: MGContext, block: np.ndarray, level: int) -> np.ndarray:
     for op in reversed(ctx.transfer[:level]):
         block = op.T @ block
     return block
+
+
+def _block_width(ctx: MGContext, q: int) -> tuple[int, EigenApprox]:
+    """Columns ``w`` a solver tracks for ``q`` pairs, and the dense level-0
+    pairs that chose it.
+
+    ``w`` in ``{q, q+1, q+2}`` minimises ``lambda_w / lambda_{w+1}`` of the
+    lowest ``min(q + 3, n_0)`` dense eigenvalues of level 0 (the smallest
+    ``w`` on ties; ``w = q`` when ``n_0 = q``), so the block ends at the
+    widest gap there and does not cut a cluster that ``q`` would.  Fewer
+    than ``q`` dofs raise ``ValueError``.
+    """
+    dense = coarse_eigensolve(ctx, min(q + 3, max(q, ctx.n_dofs(0))))
+    lam = dense.eigenvalues
+    return (q + int(np.argmin(lam[q - 1 : -1] / lam[q:])) if lam.size > q else q), dense
+
+
+def _leading(approx: EigenApprox, q: int) -> EigenApprox:
+    """The first ``q`` pairs of ``approx``, with its work."""
+    return EigenApprox(
+        approx.level, approx.eigenvalues[:q], approx.vectors[:, :q], approx.work_units
+    )
 
 
 def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
@@ -197,10 +259,14 @@ def one_correction_step(
     with right-hand sides ``lambda_j B u_j``, correct the ``u_j``; the coarse
     space plus the span of the smoothed vectors then yields new Ritz pairs.
     Exact eigenpairs are a fixed point.  The input block needs full rank,
-    not orthonormality.  The Ritz vectors are mass-orthonormal up to
-    round-off that the conditioning of the augmented mass matrix amplifies
-    (``GRAM_DROP_TOL`` caps it), and one Cholesky-QR pass in the mass inner
-    product removes that drift.
+    not orthonormality.  The output block ``V = P c_P + S c_S`` is formed
+    once, mass-orthonormal: a Cholesky-QR of the Ritz coefficients ``c`` in
+    the small pencil's mass matrix, whose ``c' B_aug c`` is ``V' B_k V`` in
+    exact arithmetic, is folded into ``c`` before the lift.  The lift
+    carries round-off of the size of ``|c|^2 max diag(B_aug)`` times
+    epsilon, which the conditioning of the augmented basis sets
+    (``GRAM_DROP_TOL`` caps it); when that figure exceeds ``_LIFT_GUARD``,
+    one Cholesky-QR pass on the fine Gram ``V' B_k V`` removes the drift.
     The result's work is the input's plus that of the ``m`` cycles.
     Raises :class:`SolverError` when the cycles increase the residual of any
     pair or make it non-finite.
@@ -245,13 +311,13 @@ def one_correction_step(
     vals, ritz, kept = augmented_ritz(a_aug, b_aug, approx.q, GRAM_DROP_TOL)
     coef = np.zeros((a_aug.shape[0], approx.q))
     coef[kept] = ritz  # dropped basis columns get zero weight
-    vectors = _prolongate(ctx, coef[:n_h], k)
-    vectors += np.einsum("ij,jk->ik", smoothed, coef[n_h:])
-
-    # Cholesky-QR: V'BV = L L', then V <- V L^{-T} with the q x q inverse.
-    lower = cholesky_dense(_gram(vectors, b_k @ vectors))
-    inverse = scipy.linalg.solve_triangular(lower, np.eye(approx.q), lower=True)
-    vectors = np.einsum("ij,kj->ik", vectors, inverse)
+    # Cholesky-QR on the small pencil, c' B_aug c = L L', with L^{-T} folded into c.
+    coef = coef @ _lower_inverse(cholesky_dense(coef.T @ b_aug @ coef)).T
+    vectors = _add_product(_prolongate(ctx, coef[:n_h], k), smoothed, coef[n_h:])
+    if _column_norms(coef).max() ** 2 * b_aug.diagonal().max() > _LIFT_GUARD:
+        # A near-dependent basis: remove the lift's round-off by V'B_kV.
+        inverse = _lower_inverse(cholesky_dense(_gram(vectors, b_k @ vectors)))
+        vectors = _add_product(np.zeros_like(vectors), vectors, inverse.T)
     work = approx.work_units + config.m * approx.q * ctx.cycle_work(k)
     return EigenApprox(k, vals, sign_fix(vectors), work)
 
@@ -267,7 +333,11 @@ def full_multigrid(
 
     Starts from a dense eigensolve on the coarsest level, then for every
     finer level prolongates the current block and applies ``config.p``
-    correction steps to it.
+    correction steps to it.  The block has ``w`` columns, ``q`` plus up to
+    two guard columns that end it at the widest gap of the lowest dense
+    eigenvalues of level 0 (the rule of :func:`direct_fine_solve`), so a
+    ``q`` that cuts a cluster does not lose a pair; the first ``q`` pairs
+    are returned, and the work counts all ``w`` columns.
     ``on_level`` (if given) is called with the accepted :class:`EigenApprox`
     of each level, which is exactly what a run with fewer levels would
     return, its ``work_units`` included.  A caller-provided ``ctx`` is used
@@ -281,17 +351,17 @@ def full_multigrid(
             "ctx has %d levels but the hierarchy has %d" % (ctx.n_levels, hierarchy.n_levels)
         )
 
-    approx = coarse_eigensolve(ctx, config.q)
+    approx = coarse_eigensolve(ctx, _block_width(ctx, config.q)[0])
     if on_level is not None:
-        on_level(approx)
+        on_level(_leading(approx, config.q))
     for k in range(1, hierarchy.n_levels):
         vectors = ctx.transfer[k - 1] @ approx.vectors
         approx = EigenApprox(k, approx.eigenvalues.copy(), vectors, approx.work_units)
         for _ in range(config.p):
             approx = one_correction_step(ctx, approx, config)
         if on_level is not None:
-            on_level(approx)
-    return approx
+            on_level(_leading(approx, config.q))
+    return _leading(approx, config.q)
 
 
 def direct_fine_solve(
@@ -307,12 +377,12 @@ def direct_fine_solve(
     eigenvectors: the same functions whatever the vertex numbering, so the
     iteration does not depend on it.  LOBPCG stops only when every column
     has converged, at the rate of the gap after the block, so ``w`` in
-    ``{q, q+1, q+2}`` minimises ``lambda_w / lambda_{w+1}`` of the lowest
-    ``min(q + 3, n_0)`` dense eigenvalues of level 0 (the smallest ``w`` on
-    ties; ``w = q`` when ``n_0 = q``).  The preconditioner, one float32
-    V-cycle from a zero guess (:func:`~fmgeig.multigrid.mg_solve` with
-    ``m=1``), is symmetric positive definite up to round-off, as LOBPCG's
-    theory assumes.  LOBPCG's target is ``tol * max|A|``, and the
+    ``{q, q+1, q+2}`` ends the block at the widest gap of the lowest dense
+    eigenvalues of level 0, as in :func:`full_multigrid`.  The
+    preconditioner, one float32 V-cycle from a zero guess
+    (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is symmetric positive
+    definite up to round-off, as LOBPCG's theory assumes.  LOBPCG's target
+    is ``tol * max|A|``, and the
     first ``q`` columns of its mass-orthonormal block, up to sign, must meet
     ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
     naming the level is raised after ``DIRECT_ATTEMPTS`` calls.  This check
@@ -329,10 +399,7 @@ def direct_fine_solve(
     if level is None:
         level = ctx.n_levels - 1
     _check_level(ctx, level)
-    # q + 3 pairs, or all of a smaller level 0; fewer than q dofs raise.
-    dense = coarse_eigensolve(ctx, min(q + 3, max(q, ctx.n_dofs(0))))
-    lam = dense.eigenvalues
-    width = q + int(np.argmin(lam[q - 1 : -1] / lam[q:])) if lam.size > q else q
+    width, dense = _block_width(ctx, q)
     block = dense.vectors[:, :width]
     work = 0.0
     for k in range(level + 1):

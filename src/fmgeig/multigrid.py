@@ -151,8 +151,11 @@ def build_mg_context(
         for a, d in zip(stiffness, inv_diag)
     ]
 
-    lower = cholesky_dense(coarse_stiffness[0])
-    coarse_inverse = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
+    # LAPACK dpotri inverts from the factor into its lower triangle, which is
+    # mirrored in column-major order; a solve against the identity took up to
+    # 28 ms on two BLAS threads.
+    inverse, _ = scipy.linalg.lapack.dpotri(cholesky_dense(coarse_stiffness[0]), lower=1)
+    coarse_inverse = np.asfortranarray(np.tril(inverse) + np.tril(inverse, -1).T)
     return MGContext(
         stiffness, mass, transfer, dofmaps, nu, lambda_max, coarse_stiffness, coarse_mass,
         [_float32_values(a) for a in stiffness],

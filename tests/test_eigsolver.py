@@ -241,6 +241,36 @@ class TestOneCorrectionStep:
         fg.one_correction_step(ctx, approx, fg.SolverConfig(q=3, m=m))
         assert counting.products == m + 1
 
+    @staticmethod
+    def mass_products(ctx, approx):
+        """Products with the step level's mass matrix that one step makes."""
+        counting = CountingMatrix(ctx.mass[approx.level])
+        mass = ctx.mass[: approx.level] + [counting]
+        fg.one_correction_step(
+            dataclasses.replace(ctx, mass=mass), approx, fg.SolverConfig(q=approx.q)
+        )
+        return counting.products
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_well_conditioned_lift_makes_two_mass_products(self, small_ctx, q):
+        # B V for the right-hand sides and B S for the pencil; the Gram of
+        # the output comes from the small pencil.
+        approx = lifted_coarse_pairs(small_ctx, q, small_ctx.n_levels - 1)
+        assert self.mass_products(small_ctx, approx) == 2
+
+    @pytest.mark.parametrize("ctx_name", ["small_ctx", "general_ctx"])
+    def test_near_dependent_input_takes_the_fine_pass(self, request, ctx_name):
+        # The input of test_near_dependent_input_lifts_orthonormal: its lift
+        # coefficients are large (guard figure 2.3e4 and 30), so the step
+        # forms B V of its output for one more Cholesky-QR pass.
+        ctx = request.getfixturevalue(ctx_name)
+        level = 2
+        vals, vecs = fg.generalized_eig_dense(
+            ctx.stiffness[level].toarray(), ctx.mass[level].toarray(), 6
+        )
+        vecs[:, 2] = vecs[:, 1] + 1e-4 * np.random.default_rng(2).standard_normal(vecs.shape[0])
+        assert self.mass_products(ctx, EigenApprox(level, vals, vecs)) == 3
+
     @pytest.mark.parametrize("ctx_name", ["small_ctx", "general_ctx"])
     def test_near_dependent_input_lifts_orthonormal(self, request, ctx_name):
         # Exact pairs with column 2 replaced by column 1 plus 1e-4 noise.  The
@@ -258,6 +288,31 @@ class TestOneCorrectionStep:
         assert b_orthonormality_drift(ctx.mass[level], out.vectors) <= 1e-12
         for column in out.vectors.T:
             assert column[leading_entry(column)] > 0.0
+
+
+class TestPanelProducts:
+    PANEL = eigsolver._PANEL
+
+    @pytest.mark.parametrize("q", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, PANEL - 1, PANEL + 1, 3 * PANEL + 7])
+    def test_gram_matches_einsum(self, n, q):
+        rng = np.random.default_rng(n + q)
+        left, right = rng.standard_normal((2, n, q))
+        expected = np.einsum("ij,ik->jk", left, right)
+        got = eigsolver._gram(left, right)
+        assert got.shape == (q, q)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("q", [1, 2, 6])
+    @pytest.mark.parametrize("n", [1, PANEL - 1, PANEL + 1, 3 * PANEL + 7])
+    def test_add_product_updates_out_in_place(self, n, q):
+        rng = np.random.default_rng(n + q)
+        block, out = rng.standard_normal((2, n, q))
+        coef = rng.standard_normal((q, q))
+        expected = out + np.einsum("ij,jk->ik", block, coef)
+        got = eigsolver._add_product(out, block, coef)
+        assert got is out
+        assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestCorrectionStepReference:
@@ -373,13 +428,31 @@ class TestAugmentedRitz:
 
 class TestFullMultigrid:
     def test_single_level_equals_coarse_solve(self, model_coeff):
+        # q=2 cuts the double 5 pi^2, so the block has a guard column, and
+        # the run returns the first two pairs of the 3-pair dense solve.
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         config = fg.SolverConfig(q=2, m=2, p=2, nu=2)
         via_fmg = fg.full_multigrid(hier, model_coeff, config, ctx=ctx)
-        direct = fg.coarse_eigensolve(ctx, 2)
-        assert np.array_equal(via_fmg.eigenvalues, direct.eigenvalues)
-        assert np.array_equal(via_fmg.vectors, direct.vectors)
+        assert eigsolver._block_width(ctx, 2)[0] == 3
+        direct = fg.coarse_eigensolve(ctx, 3)
+        assert np.array_equal(via_fmg.eigenvalues, direct.eigenvalues[:2])
+        assert np.array_equal(via_fmg.vectors, direct.vectors[:, :2])
+
+    def test_guard_columns_keep_a_mode_the_coarse_mesh_orders_late(self):
+        # On the seed-1 benchmark mesh the coarse space orders the general
+        # problem's 7th mode 8th (coarse lambda7, lambda8 = 171.5, 177.0).
+        # A 7-column block follows the wrong mode, 146.68 against 138.30 on
+        # level 2; with the guard column level 2 is 3.5e-5 off.
+        coeff = fg.general_problem().coefficients
+        hier = fg.build_hierarchy(benchmark_mesh(1), 3)
+        ctx = fg.build_mg_context(hier, coeff, nu=2)
+        fmg, direct = [], []
+        fg.full_multigrid(hier, coeff, fg.SolverConfig(q=7), ctx=ctx, on_level=fmg.append)
+        fg.direct_fine_solve(ctx, 7, 1e-10, on_level=direct.append)
+        assert [a.q for a in fmg] == [7, 7, 7]
+        for ours, ref in zip(fmg, direct):
+            assert abs(ours.eigenvalues[6] - ref.eigenvalues[6]) <= 1e-3 * ref.eigenvalues[6]
 
     def test_matches_dense_oracle_on_small_hierarchy(self, small_hierarchy, small_ctx, model_coeff, dense_pairs):
         config = fg.SolverConfig(q=1, m=2, p=4, nu=2)

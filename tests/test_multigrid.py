@@ -10,7 +10,12 @@ import fmgeig as fg
 from fmgeig import multigrid
 
 from conftest import (
-    CountingMatrix, folded_prolongation, mesh_text, shuffled_meshes, shuffled_square_mesh,
+    CountingMatrix,
+    benchmark_mesh,
+    folded_prolongation,
+    mesh_text,
+    shuffled_meshes,
+    shuffled_square_mesh,
 )
 
 
@@ -191,6 +196,15 @@ class TestBuildContext:
         inverse = reference_solution(ctx.stiffness[0], np.eye(ctx.n_dofs(0)))
         assert np.array_equal(ctx.coarse_inverse32, inverse.astype(np.float32))
         assert all(type(lam) is float for lam in ctx.lambda_max)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_coarse_inverse_from_the_factor(self, model_coeff, seed):
+        # The mirrored dpotri inverse of the 49-dof benchmark coarse level
+        # rounds to the same float32 entries as a solve against the identity.
+        ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(seed), 1), model_coeff, nu=2)
+        inverse = reference_solution(ctx.stiffness[0], np.eye(ctx.n_dofs(0)))
+        assert np.array_equal(ctx.coarse_inverse32, ctx.coarse_inverse32.T)
+        assert np.array_equal(ctx.coarse_inverse32, inverse.astype(np.float32))
 
 
 class TestVCycle:
