@@ -37,7 +37,7 @@ from scipy.sparse.linalg import lobpcg
 
 from .errors import ConvergenceError, DegenerateAugmentationError, SolverError
 from .fem import CoefficientField
-from .linalg import cholesky_dense, generalized_eig_dense, sign_fix
+from .linalg import _one_blas_thread, cholesky_dense, generalized_eig_dense, sign_fix
 from .mesh import MeshHierarchy
 from .multigrid import MGContext, _check_level, build_mg_context, mg_solve
 
@@ -63,8 +63,10 @@ DIRECT_TOL_FLOOR = 1e-12
 #: the returned block restarts the search directions and gets there.
 DIRECT_ATTEMPTS = 2
 #: Held around each LOBPCG call of :func:`direct_fine_solve`, which changes
-#: the process-wide warning filters: the ``catch_warnings`` blocks of two
-#: threads, interleaved, would leave one thread's filter installed for good.
+#: two process-wide settings while it runs: the warning filters, where the
+#: ``catch_warnings`` blocks of two threads, interleaved, would leave one
+#: thread's filter installed for good, and the OpenBLAS thread count, which
+#: two interleaved caps would leave at one thread.
 _LOBPCG_LOCK = threading.Lock()
 #: Relative pivot threshold below which :func:`one_correction_step` drops
 #: augmented-basis columns as numerically dependent.
@@ -369,30 +371,35 @@ def direct_fine_solve(
 ) -> EigenApprox:
     """Baseline solver: one nested LOBPCG sweep from the coarsest level to ``level``.
 
-    On every level :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates
-    a block of ``w`` columns started from the level below's, prolongated, so
-    it only removes the error the refinement adds (Knyazev & Neymeyr, ETNA
-    15, 2003); on a level with fewer than ``5 w`` dofs scipy solves densely
-    instead, with no work.  Level 0 starts from its ``w`` lowest dense
-    eigenvectors: the same functions whatever the vertex numbering, so the
-    iteration does not depend on it.  LOBPCG stops only when every column
-    has converged, at the rate of the gap after the block, so ``w`` in
-    ``{q, q+1, q+2}`` ends the block at the widest gap of the lowest dense
-    eigenvalues of level 0, as in :func:`full_multigrid`.  The
-    preconditioner, one float32 V-cycle from a zero guess
-    (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is symmetric positive
-    definite up to round-off, as LOBPCG's theory assumes.  LOBPCG's target
-    is ``tol * max|A|``, and the
-    first ``q`` columns of its mass-orthonormal block, up to sign, must meet
-    ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
-    naming the level is raised after ``DIRECT_ATTEMPTS`` calls.  This check
-    alone decides: LOBPCG's ``UserWarning`` (a call that stops above its
-    target, a dense fallback) is ignored, which changes the process-wide
-    warning filters while the call runs, so concurrent solves take turns at
-    LOBPCG.  ``on_level`` (if given) gets each level's accepted
-    :class:`EigenApprox`, exactly what a sweep ending there returns, with
-    the work of the sweep so far: one cycle per column preconditioned.  No
-    iterate comes from :func:`full_multigrid`.
+    Level 0 is the dense solve of its lowest ``min(q + 3, n_0)`` pairs that
+    also picks the block width: LOBPCG stops only when every column has
+    converged, at the rate of the gap after the block, so ``w`` in
+    ``{q, q+1, q+2}`` ends the block at the widest gap of these eigenvalues,
+    as in :func:`full_multigrid`.  Its ``w`` eigenvectors are the same
+    functions whatever the vertex numbering, so the iteration above does not
+    depend on it.  On every finer level :func:`scipy.sparse.linalg.lobpcg`
+    (Knyazev 2001) iterates the level below's block, prolongated, so it only
+    removes the error the refinement adds (Knyazev & Neymeyr, ETNA 15,
+    2003); on a level with fewer than ``5 w`` dofs scipy solves densely
+    instead, with no work.  The preconditioner, one float32 V-cycle from a
+    zero guess (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is
+    symmetric positive definite up to round-off, as LOBPCG's theory assumes.
+    LOBPCG's target is ``tol * max|A|``.  On every level, level 0 included,
+    the first ``q`` columns of the mass-orthonormal block, up to sign, must
+    meet ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
+    naming the level is raised, above level 0 after ``DIRECT_ATTEMPTS``
+    calls.  This check alone decides: LOBPCG's ``UserWarning`` (a call that
+    stops above its target, a dense fallback) is ignored.
+
+    Each LOBPCG call, preconditioner included, runs with the OpenBLAS builds
+    of numpy and scipy on one thread: on two, its thin dense products keep a
+    worker busy-waiting beside the solve (16,129 dofs, general, q=6: 0.47 to
+    0.53 s on two threads, 0.16 to 0.19 s capped, 2-vCPU host).  The warning
+    filters and the thread count are process-wide while a call runs, so
+    concurrent solves take turns at LOBPCG.  ``on_level`` (if given) gets
+    each level's accepted :class:`EigenApprox`, exactly what a sweep ending
+    there returns, with the work of the sweep so far: one cycle per column
+    preconditioned.  No iterate comes from :func:`full_multigrid`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
@@ -401,15 +408,32 @@ def direct_fine_solve(
     _check_level(ctx, level)
     width, dense = _block_width(ctx, q)
     block = dense.vectors[:, :width]
-    work = 0.0
+    approx = _checked(ctx, 0, dense.eigenvalues, block, q, tol, 0.0)
     for k in range(level + 1):
         if k > 0:
-            block = ctx.transfer[k - 1] @ block
-        approx, block = _lobpcg_level(ctx, k, block, q, tol, work)
-        work = approx.work_units
+            approx, block = _lobpcg_level(
+                ctx, k, ctx.transfer[k - 1] @ block, q, tol, approx.work_units
+            )
         if on_level is not None:
             on_level(approx)
     return approx
+
+
+def _checked(
+    ctx: MGContext, level: int, vals: np.ndarray, block: np.ndarray, q: int, tol: float,
+    work: float,
+) -> EigenApprox:
+    """The first ``q`` pairs of an ascending block of ``level``, with ``work``;
+    :class:`ConvergenceError` when a residual exceeds ``tol * max|A|``."""
+    a, b = ctx.stiffness[level], ctx.mass[level]
+    vecs = sign_fix(block[:, :q].copy())
+    residuals = np.linalg.norm(a @ vecs - (b @ vecs) * vals[:q], axis=0)
+    worst = float(residuals.max()) / float(np.abs(a.data).max())
+    if not worst <= tol:
+        raise ConvergenceError(
+            "residual %g > tol %g (relative to max|A|) on level %d" % (worst, tol, level)
+        )
+    return EigenApprox(level, vals[:q], vecs, work)
 
 
 def _lobpcg_level(
@@ -426,8 +450,8 @@ def _lobpcg_level(
         columns += r.shape[1]
         return mg_solve(ctx, level, r, 1)
 
-    for _ in range(DIRECT_ATTEMPTS):
-        with _LOBPCG_LOCK, warnings.catch_warnings():
+    for attempt in range(DIRECT_ATTEMPTS):
+        with _LOBPCG_LOCK, _one_blas_thread(), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             vals, block = lobpcg(
                 a, block, B=b, M=precondition,
@@ -435,12 +459,9 @@ def _lobpcg_level(
             )
         order = np.argsort(vals)
         vals, block = vals[order], block[:, order]
-        vecs = sign_fix(block[:, :q].copy())
-        residuals = np.linalg.norm(a @ vecs - (b @ vecs) * vals[:q], axis=0)
-        worst = float(residuals.max())
-        if worst <= tol * a_scale:
-            return EigenApprox(level, vals[:q], vecs, work + columns * ctx.cycle_work(level)), block
-    raise ConvergenceError(
-        "LOBPCG stopped at residual %g > tol %g (relative to max|A|) on level %d"
-        % (worst / a_scale, tol, level)
-    )
+        work_here = work + columns * ctx.cycle_work(level)
+        try:
+            return _checked(ctx, level, vals, block, q, tol, work_here), block
+        except ConvergenceError:
+            if attempt == DIRECT_ATTEMPTS - 1:
+                raise

@@ -1,13 +1,18 @@
 """Dense symmetric linear algebra kernels.
 
 Matrices are plain ndarrays.  The module provides the dense Cholesky
-factor of the coarsest stiffness and of mass Gram matrices, the column sign
-convention of eigenvector blocks, and the generalized symmetric eigensolver
-of the coarse and augmented Ritz problems, which delegates to LAPACK through
-:func:`scipy.linalg.eigh`.
+factor of mass Gram matrices, the column sign convention of eigenvector
+blocks, the generalized symmetric eigensolver of the coarse and augmented
+Ritz problems, which delegates to LAPACK through :func:`scipy.linalg.eigh`,
+and a scope that runs the OpenBLAS builds of numpy and scipy on one thread.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
 
 import numpy as np
 import scipy.linalg
@@ -68,3 +73,62 @@ def generalized_eig_dense(
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("generalized eigensolve failed: %s" % exc) from None
     return vals, sign_fix(vecs)
+
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """``(get, set)`` thread-count functions of every OpenBLAS build mapped
+    into the process (numpy and scipy each bundle their own), found once.
+
+    A build is a library named ``*openblas*`` in ``/proc/self/maps`` that
+    exports ``openblas_get_num_threads`` and ``openblas_set_num_threads``,
+    with or without the ``scipy_`` prefix and the ``64_`` suffix of the
+    bundled builds.  Empty where the file or the symbols are missing.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(
+        f[5].strip() for f in fields
+        if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("", ""), ("scipy_", ""), ("", "64_"), ("scipy_", "64_")):
+            get = getattr(lib, "%sopenblas_get_num_threads%s" % (prefix, suffix), None)
+            put = getattr(lib, "%sopenblas_set_num_threads%s" % (prefix, suffix), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS build on one thread, and restore
+    each build's thread count on exit, also when the block raises.
+
+    After a threaded call an OpenBLAS worker busy-waits for more work, for
+    about 0.12 s after a 49x49 ``dpotri`` on a 2-CPU host: thin dense
+    products that OpenBLAS splits over two threads keep both CPUs busy, and
+    the spin takes a CPU from the code that runs next.  The count is
+    process-wide, so concurrent callers must take turns around the block.
+    Does nothing when no build is found.
+    """
+    controls = _openblas_controls()
+    counts = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, counts):
+            put(count)

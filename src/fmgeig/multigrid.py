@@ -44,11 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .fem import CoefficientField, assemble_pencil, interior_dofmap
-from .linalg import cholesky_dense
 from .mesh import MeshHierarchy, _interpolation
 
 __all__ = ["MGContext", "build_mg_context", "mg_solve"]
@@ -151,11 +149,14 @@ def build_mg_context(
         for a, d in zip(stiffness, inv_diag)
     ]
 
-    # LAPACK dpotri inverts from the factor into its lower triangle, which is
-    # mirrored in column-major order; a solve against the identity took up to
-    # 28 ms on two BLAS threads.
-    inverse, _ = scipy.linalg.lapack.dpotri(cholesky_dense(coarse_stiffness[0]), lower=1)
-    coarse_inverse = np.asfortranarray(np.tril(inverse) + np.tril(inverse, -1).T)
+    # np.linalg.inv keeps OpenBLAS on one thread for a coarse matrix; scipy's
+    # dpotri, inv and solves against the identity wake a worker that then
+    # busy-waits through the start of the next solve (about 20 ms of CPU in
+    # a 20 ms sleep after a 49x49 dpotri, 0.1 ms after np.linalg.inv).  The
+    # symmetrized inverse rounds to dpotri's float32 entries on the
+    # benchmark's coarse meshes.
+    inverse = np.linalg.inv(coarse_stiffness[0])
+    coarse_inverse = np.asfortranarray(0.5 * (inverse + inverse.T))
     return MGContext(
         stiffness, mass, transfer, dofmaps, nu, lambda_max, coarse_stiffness, coarse_mass,
         [_float32_values(a) for a in stiffness],

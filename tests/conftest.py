@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,11 +9,38 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import fmgeig as fg
+from fmgeig.linalg import _openblas_controls
 
 # Property tests draw the same examples on every run, with no time limit and
 # no example database; each test sets only its own ``max_examples``.
 settings.register_profile("deterministic", deadline=None, derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture
+def spin_probe():
+    """Process CPU time, in seconds, over a 20 ms sleep: about 0.02 while an
+    OpenBLAS worker busy-waits after a threaded call, 1e-4 or less when the
+    pool is quiet.  Returned once a probe reads quiet (a worker spins for
+    about 0.12 s after its last call); skips where no worker can spin beside
+    the caller, with fewer than two usable CPUs or no OpenBLAS found."""
+    if len(os.sched_getaffinity(0)) < 2 or not _openblas_controls():
+        pytest.skip("needs two usable CPUs and an OpenBLAS build")
+
+    def probe():
+        start = time.process_time()
+        time.sleep(0.02)
+        return time.process_time() - start
+
+    for _ in range(25):
+        if probe() < 1e-3:
+            break
+    return probe
+
+
+def blas_thread_counts():
+    """The thread count of every OpenBLAS build numpy and scipy loaded."""
+    return [get() for get, _ in _openblas_controls()]
 
 
 @pytest.fixture(scope="session")

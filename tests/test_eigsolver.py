@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ from fmgeig.linalg import sign_fix
 from conftest import (
     CountingMatrix,
     benchmark_mesh,
+    blas_thread_counts,
     folded_prolongation,
     leading_entry,
     shuffled_meshes,
@@ -585,6 +587,7 @@ class TestConcurrentSolves:
             return [(approx.eigenvalues, approx.work_units) for approx in levels]
 
         filters = list(warnings.filters)
+        threads = blas_thread_counts()
         serial = solve()
         increments = np.diff([0.0] + [work for _, work in serial])
         assert increments[0] == 0 and increments[-1] > 0  # level 0 is dense
@@ -595,33 +598,106 @@ class TestConcurrentSolves:
             for (vals, work), (serial_vals, serial_work) in zip(run, serial, strict=True):
                 assert np.array_equal(vals, serial_vals)
                 assert work == serial_work
-        # Each call ignores LOBPCG's warnings while it runs, and no more.
+        # Each call ignores LOBPCG's warnings and caps the BLAS threads
+        # while it runs, and no more.
         assert warnings.filters == filters
+        assert blas_thread_counts() == threads
+
+
+class TestBlasThreadCap:
+    """Each LOBPCG call of the direct baseline runs on one OpenBLAS thread,
+    and the thread counts come back as they were."""
+
+    def test_lobpcg_runs_on_one_thread(self, general_ctx, monkeypatch):
+        before, seen = blas_thread_counts(), []
+
+        def spy(*args, **kwargs):
+            seen.append(blas_thread_counts())
+            return scipy.sparse.linalg.lobpcg(*args, **kwargs)
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", spy)
+        fg.direct_fine_solve(general_ctx, 2, 1e-9)
+        assert len(seen) == general_ctx.n_levels - 1
+        assert all(counts == [1] * len(before) for counts in seen)
+        assert blas_thread_counts() == before
+
+    def test_counts_restored_when_lobpcg_raises(self, general_ctx, monkeypatch):
+        before = blas_thread_counts()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("inside the cap")
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", fail)
+        with pytest.raises(RuntimeError, match="inside the cap"):
+            fg.direct_fine_solve(general_ctx, 2, 1e-9)
+        assert blas_thread_counts() == before
+        monkeypatch.undo()
+        fg.direct_fine_solve(general_ctx, 2, 1e-9)  # the lock was released
+
+
+class TestNoSpinningWorker:
+    """Set-up and the direct baseline leave no OpenBLAS worker busy-waiting.
+    On two BLAS threads, set-up's scipy ``dpotri`` and uncapped LOBPCG each
+    left 17-20 ms of CPU in the probe's 20 ms sleep; where two CPUs are free,
+    a worker spinning beside the solve also raises its CPU time per wall
+    second towards 2."""
+
+    @pytest.fixture(scope="class")
+    def hierarchy(self):
+        # 16,129 finest dofs: LOBPCG's block products there are large
+        # enough for OpenBLAS to split.
+        return fg.build_hierarchy(benchmark_mesh(1), 5)
+
+    def test_set_up_and_direct_solve_leave_the_pool_quiet(self, hierarchy, spin_probe):
+        ctx = fg.build_mg_context(hierarchy, fg.general_problem().coefficients, nu=2)
+        assert spin_probe() < 5e-3
+        cpu, wall = time.process_time(), time.perf_counter()
+        fg.direct_fine_solve(ctx, 6, 1e-9)
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert spin_probe() < 5e-3
+        assert cpu / wall < 1.3
 
 
 class TestThreadDeterminism:
-    SCRIPT = """
+    SETUP = """
 import json
 import fmgeig as fg
 hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
 spec = fg.general_problem()
-out = fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=6))
-print(json.dumps(out.eigenvalues.tolist()))
 """
 
-    def test_one_blas_thread_matches_in_process_run(self):
+    @staticmethod
+    def one_thread_run(script):
+        """The JSON list ``script`` prints, run with one OpenBLAS thread."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(fg.__file__)))
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT],
+            [sys.executable, "-c", script],
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
-        single = np.array(json.loads(result.stdout))
+        return np.array(json.loads(result.stdout))
+
+    def test_one_blas_thread_matches_in_process_run(self):
+        single = self.one_thread_run(self.SETUP + """
+out = fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=6))
+print(json.dumps(out.eigenvalues.tolist()))
+""")
         hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
         spec = fg.general_problem()
         here = fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=6)).eigenvalues
         assert np.abs(single - here).max() <= 1e-12 * np.abs(here).max()
+
+    def test_direct_solve_matches_one_blas_thread_bit_for_bit(self):
+        # LOBPCG runs on one thread in-process too, and set-up's coarse
+        # inverse and the dense level 0 stay on one thread.
+        single = self.one_thread_run(self.SETUP + """
+ctx = fg.build_mg_context(hier, spec.coefficients)
+print(json.dumps(fg.direct_fine_solve(ctx, 6, 1e-9).eigenvalues.tolist()))
+""")
+        hier = fg.build_hierarchy(fg.unit_square_mesh(8), 3)
+        ctx = fg.build_mg_context(hier, fg.general_problem().coefficients)
+        assert np.array_equal(single, fg.direct_fine_solve(ctx, 6, 1e-9).eigenvalues)
 
 
 L_SHAPE_FILE = """8 6
@@ -838,12 +914,12 @@ class TestDirectFineSolve:
         coeff = fg.laplace_coefficients() if problem == "model" else fg.general_problem().coefficients
         ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(1), 4), coeff, nu=2)
         fg.direct_fine_solve(ctx, q, 1e-9)
-        # One call per level, all of one width.
-        assert widths == [width] * ctx.n_levels
+        # One call per level above the dense level 0, all of one width.
+        assert widths == [width] * (ctx.n_levels - 1)
 
     def test_dense_level_passes_up_its_own_block(self, general_ctx, monkeypatch):
-        # Level 0's 9 dofs are fewer than 5 w, so scipy solves it densely;
-        # every level makes one call, started from the level below's block.
+        # Level 0 is the dense solve that picks the width, with no LOBPCG
+        # call; every finer level makes one, started from the level below's block.
         calls = []
 
         def spy(a, block, **kwargs):
@@ -855,13 +931,23 @@ class TestDirectFineSolve:
         monkeypatch.setattr("fmgeig.eigsolver.lobpcg", spy)
         levels = []
         fg.direct_fine_solve(general_ctx, 2, 1e-9, on_level=levels.append)
-        assert [n for n, _, _ in calls] == [general_ctx.n_dofs(k) for k in range(4)]
-        dense = fg.coarse_eigensolve(general_ctx, calls[0][1].shape[1])
+        assert [n for n, _, _ in calls] == [general_ctx.n_dofs(k) for k in range(1, 4)]
+        width = calls[0][1].shape[1]
+        dense = fg.coarse_eigensolve(general_ctx, 5)  # q + 3 pairs choose the width
         assert np.array_equal(levels[0].eigenvalues, dense.eigenvalues[:2])
         assert np.array_equal(levels[0].vectors, dense.vectors[:, :2])
         assert levels[0].work_units == 0.0
-        for k in range(1, 4):
-            assert np.array_equal(calls[k][1], general_ctx.transfer[k - 1] @ calls[k - 1][2])
+        assert np.array_equal(calls[0][1], general_ctx.transfer[0] @ dense.vectors[:, :width])
+        for k in range(1, 3):
+            assert np.array_equal(calls[k][1], general_ctx.transfer[k] @ calls[k - 1][2])
+
+    def test_dense_level_keeps_the_residual_check(self, small_ctx, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("lobpcg called")
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", never)
+        with pytest.raises(fg.ConvergenceError, match="on level 0$"):
+            fg.direct_fine_solve(small_ctx, 1, 1e-20)
 
     def test_fewer_than_q_coarse_dofs_raise_before_any_call(self, model_coeff, monkeypatch):
         # unit_square_mesh(2) has one interior dof, too few for q=2 pairs.
@@ -926,12 +1012,11 @@ class TestDirectFineSolve:
         monkeypatch.setattr(warnings, "warn", record)
         monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall_first_on_level_1)
         out = fg.direct_fine_solve(general_ctx, 2, 1e-9)
-        # Level 0 is scipy's dense fallback; level 1 is retried, and levels 2
-        # and 3 take one call.
+        # Level 0 makes no call; level 1 is retried, and levels 2 and 3 take one.
         full = eigsolver.DIRECT_MAX_ITERS
-        assert calls == [(0, full), (1, 1), (1, full), (2, full), (3, full)]
+        assert calls == [(1, 1), (1, full), (2, full), (3, full)]
         assert any(
-            call == 2 and category is UserWarning and "requested tolerance" in text
+            call == 1 and category is UserWarning and "requested tolerance" in text
             for call, category, text in warned
         )
         a, b, u = general_ctx.stiffness[out.level], general_ctx.mass[out.level], out.vectors
@@ -940,8 +1025,8 @@ class TestDirectFineSolve:
 
     @pytest.mark.filterwarnings("error")
     def test_failure_names_its_level(self, general_ctx, monkeypatch):
-        # Every call stalls: scipy's dense fallback still solves level 0, and
-        # level 1 exhausts its attempts and the sweep stops there.
+        # Every call stalls: level 0 is dense, with no call, and level 1
+        # exhausts its attempts and the sweep stops there.
         calls = []
 
         def stall(a, block, **kwargs):
@@ -951,7 +1036,7 @@ class TestDirectFineSolve:
         monkeypatch.setattr("fmgeig.eigsolver.lobpcg", stall)
         with pytest.raises(fg.ConvergenceError, match="on level 1$"):
             fg.direct_fine_solve(general_ctx, 2, 1e-9)
-        assert calls == [general_ctx.n_dofs(0)] + [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
+        assert calls == [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
 
     @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "past-finest"])
     @pytest.mark.parametrize("solve", ["direct_fine_solve", "coarse_eigensolve"])

@@ -199,7 +199,7 @@ class TestBuildContext:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_coarse_inverse_from_the_factor(self, model_coeff, seed):
-        # The mirrored dpotri inverse of the 49-dof benchmark coarse level
+        # The symmetrized np.linalg.inv of the 49-dof benchmark coarse level
         # rounds to the same float32 entries as a solve against the identity.
         ctx = fg.build_mg_context(fg.build_hierarchy(benchmark_mesh(seed), 1), model_coeff, nu=2)
         inverse = reference_solution(ctx.stiffness[0], np.eye(ctx.n_dofs(0)))
