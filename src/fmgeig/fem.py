@@ -19,17 +19,24 @@ contiguous rows of corner coordinates: the couplings of its three local
 vertex pairs and its three corner (diagonal) entries.  Both forms share one
 scatter plan per mesh: scipy lays out the CSR pattern of the mesh's edges
 without a boundary endpoint (elimination folded in), in any edge order, and
-records where each entry's value comes from.  Couplings are summed per edge
-and corner entries per vertex with ``np.bincount``, in a fixed order, and
-gathered into both entries of each edge, so the matrices are exactly
-symmetric by construction and runs are bit reproducible.
+each stored value names the edge or vertex sum it takes.  Each chunk of
+triangles adds its couplings into the edge sums with ``np.add.at`` (at most
+two terms per edge, so no order can change a sum).  The corner entries are
+kept per triangle and, after the last chunk, summed per vertex corner row by
+corner row, in triangle order within a row.  The edge sums are gathered into
+both entries of each edge, so the matrices are exactly symmetric by
+construction and runs are bit reproducible.
 
 Given the coarse mesh a level was refined from, the result also holds the
 dense Galerkin blocks of the coarse space on that level.  The coarse hats
 are linear on each descendant ``d`` of a coarse triangle, so its entries sum
 ``C_d' K_d C_d`` from the fine element matrices ``K_d``, with ``C_d`` the
 coarse hats at the corners of ``d``: fixed by refinement for every coarse
-triangle, so one exact table does the sum.
+triangle, so one exact table does the sum.  Each chunk's entries are also
+copied into a staging block of whole runs of descendants, its size set by
+the refinement count alone, and each full block is summed by one product
+with the table while its entries are still in cache.  The coarse element
+entries this gives are scattered on the coarse mesh like fine ones.
 """
 
 from __future__ import annotations
@@ -57,9 +64,11 @@ __all__ = [
 _LOCAL_EDGES = ((0, 1), (1, 2), (2, 0))
 
 #: Triangles per pass of the element kernels, so that their (3, chunk)
-#: temporaries stay in cache.  Medians of 11 context builds (2-core host, 1
-#: BLAS thread), 7-level model / 6-level general: 4k 0.36 / 0.11 s, 16k
-#: 0.34 / 0.12 s, 64k 0.33 / 0.14 s, one pass 0.40 / 0.14 s.
+#: temporaries stay in cache.  A pass ends at every staging block boundary
+#: too (16,384 triangles up to seven refinements), and neither the matrices
+#: nor the coarse blocks depend on the value.  Medians of 11 context builds
+#: (2-core host, 1 BLAS thread), 7-level model / 6-level general: 1k 0.42 /
+#: 0.077 s, 4k 0.31 / 0.064 s, 16k 0.29 / 0.063 s.
 _CHUNK = 16384
 
 
@@ -115,14 +124,15 @@ def _eval(func, qx, qy, name, first, shape=()):
     return np.broadcast_to(vals, per_point).reshape(qx.shape + shape)
 
 
-def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None, corners: np.ndarray):
-    """Lay out the CSR pattern from the mesh's edge table; return the scatter.
+def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None) -> sp.csr_array:
+    """The CSR pattern from the mesh's edge table, each value its entry's source.
 
     The pattern is the diagonal plus both directions of every edge without
     an eliminated endpoint.  scipy puts it in canonical form (sorted rows,
-    no duplicates) whatever the edge order.  Each stored value is the
-    entry's source: kept edge ``e`` for ``(lo, hi)`` and ``(hi, lo)``, and
-    ``m + i`` for the diagonal of dof ``i``, with ``m`` kept edges.
+    no duplicates) whatever the edge order.  Each stored int32 value indexes
+    the mesh's edge sums followed by its vertex sums: edge ``e`` for
+    ``(lo, hi)`` and ``(hi, lo)``, and ``n_edges + v`` for the diagonal of
+    vertex ``v``.
     """
     if dofmap is None:
         dofmap = np.arange(mesh.n_vertices)
@@ -132,27 +142,27 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None, corners: np.ndarray):
 
     lo, hi = vertex_dof[mesh.edges[:, 0]], vertex_dof[mesh.edges[:, 1]]
     kept = np.flatnonzero((lo >= 0) & (hi >= 0))
-    lo, hi = lo[kept], hi[kept]
-    edge, dofs = np.arange(len(kept), dtype=np.int32), np.arange(n, dtype=np.int32)
-    source = np.concatenate([edge, edge, len(kept) + dofs])
+    lo, hi, dofs = lo[kept], hi[kept], np.arange(n, dtype=np.int32)
+    source = np.concatenate([kept, kept, mesh.edges.shape[0] + dofmap], dtype=np.int32)
+    del kept, vertex_dof  # each intermediate goes as soon as it is used
     rows, cols = np.concatenate([lo, hi, dofs]), np.concatenate([hi, lo, dofs])
-    pattern = sp.csr_array((source, (rows, cols)), shape=(n, n))
-    # Where each stored value sits among the edge sums followed by the vertex sums.
-    gather = np.concatenate([kept, mesh.edges.shape[0] + dofmap])[pattern.data]
-    indices, indptr = pattern.indices, pattern.indptr
+    del lo, hi, dofs
+    return sp.csr_array((source, (rows, cols)), shape=(n, n))
 
-    # Row k of the (3, T) entry arrays is local pair k, or corner k, of
-    # every triangle, as in ``corners``.
-    pair_edge = mesh.triangle_edges.T.ravel()
-    corner_vertex = corners.ravel()
 
-    def scatter(pair: np.ndarray, corner: np.ndarray) -> sp.csr_array:
-        edge_sum = np.bincount(pair_edge, pair.ravel(), minlength=mesh.edges.shape[0])
-        vertex_sum = np.bincount(corner_vertex, corner.ravel(), minlength=mesh.n_vertices)
-        data = np.concatenate([edge_sum, vertex_sum])[gather]
-        return sp.csr_array((data, indices, indptr), shape=(n, n))
+def _add_rows(sums: np.ndarray, index, values) -> None:
+    """Add row ``r`` of ``values`` into ``sums`` at row ``r`` of ``index``:
+    row after row, in order within a row, so every running sum is fixed."""
+    for idx, val in zip(index, values):
+        np.add.at(sums, idx, val)
 
-    return scatter
+
+def _scatter(plan: sp.csr_array, sums: np.ndarray, mesh: Mesh, corner) -> sp.csr_array:
+    """The matrix ``plan`` lays out from ``sums`` (the mesh's edge sums, then
+    its vertex sums), once the ``(3, T)`` ``corner`` entries are summed in."""
+    _add_rows(sums[mesh.edges.shape[0] :], mesh.triangles.T, corner)
+    del corner  # the caller passed its only reference: freed once summed
+    return sp.csr_array((sums[plan.data], plan.indices, plan.indptr), shape=plan.shape)
 
 
 def _edges_and_midpoints(vertices: np.ndarray, corners: np.ndarray):
@@ -264,16 +274,26 @@ def assemble_pencil(
     times including none (``ValueError`` otherwise).  The result then also
     holds the dense Galerkin blocks ``P' A P`` and ``P' B P``, with ``P``
     interpolating the coarse dofs onto ``mesh``, summed from the fine
-    entries (:func:`_coarse_blocks`); with ``mesh`` as its own coarse mesh
-    they are the two matrices, bit for bit.
+    entries of each staging block (:func:`_galerkin_table`) and scattered on
+    the coarse mesh (:func:`_coarse_blocks`); with ``mesh`` as its own coarse
+    mesh they are the two matrices, bit for bit.  Each chunk's pair entries go straight into the edge sums; only the
+    corner entries are held per triangle, until summed per vertex.
     """
     levels = 0 if coarse is None else _refinements(mesh, coarse[0])
-    corners = np.ascontiguousarray(mesh.triangles.T)  # row i: corner i of each triangle
-    scatter = _scatter_plan(mesh, dofmap, corners)
-    stiffness, mass = (np.empty((2, 3, mesh.n_triangles)) for _ in range(2))  # pair, corner
-    for first in range(0, mesh.n_triangles, _CHUNK):
-        part = slice(first, first + _CHUNK)
-        ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, corners[:, part])
+    table, run = _galerkin_table(levels), 4**levels  # run: descendants per coarse triangle
+    block = max(16384 // run, 1) * run  # per coarse product; fixed, as rounding may vary with it
+    n_tri = mesh.n_triangles
+    # Per form, a block's entries in (triangle, entry) order: each descendant's
+    # terms cancel to O(4**-levels) first, not 4**levels times larger sums.
+    staged = np.empty((2, min(block, n_tri), 6))
+    moments = np.empty((2, 0 if coarse is None else coarse[0].n_triangles, 6))
+    plan = _scatter_plan(mesh, dofmap)
+    sums = [np.zeros(mesh.edges.shape[0] + mesh.n_vertices) for _ in range(2)]  # stiffness, mass
+    corner = [np.empty((3, n_tri)) for _ in range(2)]
+    cuts = np.union1d(np.arange(_CHUNK, n_tri, _CHUNK), np.arange(block, n_tri, block))
+    for first, last in zip([0, *cuts], [*cuts, n_tri]):  # chunks, also cut at block ends
+        part = slice(first, last)
+        ex, ey, qx, qy = _edges_and_midpoints(mesh.vertices, mesh.triangles[part].T.copy())
         det = ex[1] * ey[2] - ex[2] * ey[1]
         weight = det / 6.0  # area / 3
         folded = _folded_tensor(_eval(coeff.a, qx, qy, "diffusion", first, (2, 2)))
@@ -282,32 +302,35 @@ def assemble_pencil(
         scale = 1.0 / (6.0 * det)
         for s in folded:
             s *= scale
-        _gradient_form(folded, ex, ey, *stiffness[:, :, part])
+        entries = np.empty((2, 2, 3, last - first))  # form, (pair, corner), local, triangle
+        _gradient_form(folded, ex, ey, *entries[0])
         if np.any(phi_vals):
-            stiffness[:, :, part] += _midpoint_form(phi_vals * weight)
-        mass[:, :, part] = _midpoint_form(rho_weight)
-    blocks = () if coarse is None else _coarse_blocks(*coarse, levels, stiffness, mass)
-    stiffness = scatter(*stiffness)  # frees the entries before the mass scatter
-    return (stiffness, scatter(*mass)) + blocks
+            entries[0] += _midpoint_form(phi_vals * weight)
+        entries[1] = _midpoint_form(rho_weight)
+        for form in range(2):
+            _add_rows(sums[form], mesh.triangle_edges[part].T, entries[form, 0])
+            corner[form][:, part] = entries[form, 1]
+        if coarse is None:
+            continue
+        at = first % block
+        staged[:, at : at + last - first] = entries.reshape(2, 6, -1).transpose(0, 2, 1)
+        if last % block == 0 or last == n_tri:
+            t, rows = (first - at) // run, (at + last - first) // run  # the block's coarse triangles
+            for out, staged_form in zip(moments[:, t : t + rows], staged):
+                out[:] = staged_form[: rows * run].reshape(rows, 6 * run) @ table
+    pencil = tuple(_scatter(plan, sums.pop(0), mesh, corner.pop(0)) for _ in range(2))
+    return pencil if coarse is None else pencil + _coarse_blocks(*coarse, moments)
 
 
-def _coarse_blocks(coarse: Mesh, dofmap, levels: int, *forms: np.ndarray) -> tuple:
-    """Dense coarse-dof blocks of the forms whose fine entries are ``forms``.
-
-    Each coarse triangle sums ``C_d' K_d C_d`` over its descendants ``d``
-    (:func:`_galerkin_table`), each ``d``'s six terms first: on the gradient
-    form they cancel to ``O(4**-levels)``, while sums over ``d`` per fine
-    entry, cancelling only at the end, grow ``4**levels`` times larger.
-    """
-    table, run = _galerkin_table(levels), 4**levels  # run: descendants per coarse triangle
-    step = max(16384 // run, 1)  # coarse triangles per block; fixed, as rounding may vary with it
-    sums = np.empty((len(forms), coarse.n_triangles, 6))
-    for f, out in zip(forms, sums):
-        rows = f.reshape(6, -1, run).transpose(1, 2, 0)  # a view; reshape copies each block
-        for t in range(0, len(out), step):
-            out[t : t + step] = rows[t : t + step].reshape(-1, 6 * run) @ table
-    scatter = _scatter_plan(coarse, dofmap, np.ascontiguousarray(coarse.triangles.T))
-    return tuple(scatter(*s.T.reshape(2, 3, -1)).toarray() for s in sums)
+def _coarse_blocks(coarse: Mesh, dofmap, moments: np.ndarray) -> tuple:
+    """Dense coarse-dof blocks of the forms whose coarse element entries
+    (three pairs, then three corners per triangle) are ``moments``."""
+    plan, blocks = _scatter_plan(coarse, dofmap), []
+    for form in moments:
+        sums = np.zeros(coarse.edges.shape[0] + coarse.n_vertices)
+        _add_rows(sums, coarse.triangle_edges.T, form[:, :3].T)
+        blocks.append(_scatter(plan, sums, coarse, form[:, 3:].T).toarray())
+    return tuple(blocks)
 
 
 def interpolate(mesh: Mesh, dofmap: np.ndarray, f) -> np.ndarray:
@@ -328,7 +351,8 @@ def norm_a(matrix, v: np.ndarray) -> float:
         raise ValueError(
             "dimension mismatch: matrix %r, vector %r" % (matrix.shape, v.shape)
         )
-    q = float(v @ (matrix @ v))
+    # Not a BLAS dot: for a long vector that leaves an OpenBLAS worker spinning.
+    q = float(np.einsum("i,i->", v, matrix @ v))
     if q < -1e-14:
         raise NotPositiveDefiniteError(
             "form value %g is negative beyond round-off" % q

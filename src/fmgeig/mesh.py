@@ -35,9 +35,9 @@ __all__ = [
 ]
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 1.0 KB per fine vertex (250 MiB at 263k
-#: vertices for the 7-level model problem from ``square:8``), so 2M vertices
-#: need about 2.0 GB, under a third of an 8 GB host.  The cap also keeps the
+#: Measured peak memory is about 0.57 KB per fine vertex (566 MiB at 1.05M
+#: vertices for the 8-level model problem from ``square:8``), so 2M vertices
+#: need about 1.2 GB, under a sixth of an 8 GB host.  The cap also keeps the
 #: int32 connectivity and CSR index arrays of meshes and matrices in range.
 MAX_VERTICES = 2_000_000
 

@@ -636,7 +636,7 @@ class TestBlasThreadCap:
 
 
 class TestNoSpinningWorker:
-    """Set-up and the direct baseline leave no OpenBLAS worker busy-waiting.
+    """Set-up, the direct baseline and ``norm_a`` leave no OpenBLAS worker busy-waiting.
     On two BLAS threads, set-up's scipy ``dpotri`` and uncapped LOBPCG each
     left 17-20 ms of CPU in the probe's 20 ms sleep; where two CPUs are free,
     a worker spinning beside the solve also raises its CPU time per wall
@@ -656,6 +656,14 @@ class TestNoSpinningWorker:
         cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
         assert spin_probe() < 5e-3
         assert cpu / wall < 1.3
+
+    def test_norm_a_leaves_the_pool_quiet(self, spin_probe):
+        # The finest model dof count: a BLAS dot of this length wakes a
+        # worker that spun through about 20 ms of the probe's sleep.
+        n = 261_121
+        vec = np.linspace(1.0, 2.0, n)
+        assert fg.norm_a(scipy.sparse.eye_array(n, format="csr"), vec) > 0.0
+        assert spin_probe() < 5e-3
 
 
 class TestThreadDeterminism:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import fmgeig as fg
 from fmgeig import fem
 from fmgeig.errors import AssemblyError, NotPositiveDefiniteError
 
-from conftest import first_eigenfunction, shuffled_meshes, shuffled_square_mesh
+from conftest import benchmark_mesh, first_eigenfunction, shuffled_meshes, shuffled_square_mesh
 
 REFERENCE_TRIANGLE = "3 1\n0 0\n1 0\n0 1\n0 1 2\n"
 
@@ -188,15 +189,18 @@ class TestSharedStructure:
         monkeypatch.setattr(fem, "_CHUNK", 5)
         self.test_bit_identical_to_recorded_assembly(case)
 
+    @pytest.mark.parametrize("chunk", [1, 70, 512, 1023, 1025])
     @pytest.mark.parametrize("problem", ["model", "general"])
-    def test_chunked_hierarchy_matches_one_pass(self, problem, monkeypatch):
-        # 70 triangles per chunk, which splits the descendants of a coarse
-        # triangle on levels 1 and 2 and leaves a ragged last chunk on each
-        # level; the coarse blocks are summed from the finished fine entries.
+    def test_chunked_hierarchy_matches_one_pass(self, problem, chunk, monkeypatch):
+        # Triangles per chunk: 512 splits each coarse triangle's run of 1024
+        # descendants on level 5 in two, 70 and 4**5 +- 1 split runs on every
+        # level above 0 and leave a ragged last chunk.  Level 5 (18,432
+        # triangles) fills one 16,384-triangle staging block and part of a
+        # second; one triangle per chunk runs on three levels to stay fast.
         coeff = {"model": fg.laplace_coefficients(), "general": fg.general_problem().coefficients}
-        hierarchy = fg.build_hierarchy(shuffled_square_mesh(3, 0.2, 4), 3)
+        hierarchy = fg.build_hierarchy(shuffled_square_mesh(3, 0.2, 4), 3 if chunk == 1 else 6)
         whole = fg.build_mg_context(hierarchy, coeff[problem])
-        monkeypatch.setattr(fem, "_CHUNK", 70)
+        monkeypatch.setattr(fem, "_CHUNK", chunk)
         chunked = fg.build_mg_context(hierarchy, coeff[problem])
         for k in range(hierarchy.n_levels):
             assert digest([chunked.stiffness[k], chunked.mass[k]]) == digest(
@@ -204,6 +208,28 @@ class TestSharedStructure:
             )
             for name in ("coarse_stiffness", "coarse_mass"):
                 assert np.array_equal(getattr(chunked, name)[k], getattr(whole, name)[k])
+
+
+class TestAssemblyMemory:
+    def test_finest_level_peak_within_three_times_its_output(self):
+        # Traced peak of the finest call above what was live before it, per
+        # byte returned (values, the shared index arrays, the coarse blocks),
+        # on 131,072 triangles: 3.43 with full per-triangle pair and corner
+        # arrays and a separate coarse-block pass, 2.48 with streamed sums.
+        hierarchy = fg.build_hierarchy(benchmark_mesh(1), 6)
+        fine, coarse = hierarchy.meshes[-1], hierarchy.meshes[0]
+        args = (fine, fg.interior_dofmap(fine), fg.laplace_coefficients())
+        coarse_arg = (coarse, fg.interior_dofmap(coarse))
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            pencil = fg.assemble_pencil(*args, coarse_arg)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        arrays = [a for m in pencil[:2] for a in (m.data, m.indices, m.indptr)] + list(pencil[2:])
+        returned = sum({a.ctypes.data: a.nbytes for a in arrays}.values())
+        assert peak <= 3.0 * returned
 
 
 class TestStiffness:
