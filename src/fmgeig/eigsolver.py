@@ -12,16 +12,18 @@ for all tracked pairs at once, as one block of V-cycles on the defects
 the coarse space augmented with the smoothed vectors and maps the Ritz
 pairs back to the fine level, mass-orthonormal by a Cholesky-QR of the
 small pencil.  The cost is dominated by the V-cycles, so the full sweep over
-levels is linear in the finest dof count.  The solvers track ``q`` pairs
-plus up to two guard columns that end the block at a gap of the coarse
-spectrum.
+levels is linear in the finest dof count.
 
+Both solvers run one nested sweep: one dense solve of level 0, whose lowest
+eigenvalues also choose a block of ``q`` pairs plus up to two guard columns
+that ends at a gap of the coarse spectrum, then on every finer level the
+block below, prolongated, improved by the solver's own corrector: ``p``
+correction steps in :func:`full_multigrid`, and LOBPCG preconditioned by one
+float32 block V-cycle in the independent baseline :func:`direct_fine_solve`.
 Returned blocks are orthonormal in the mass inner product, with eigenvalues
 in ascending order.  In each vector the first entry within a relative 1e-8
 of the largest magnitude is positive, a sign convention that entries tied up
 to round-off cannot flip.
-:func:`direct_fine_solve` provides an independent baseline: a nested LOBPCG
-sweep over the levels, preconditioned by one float32 block V-cycle.
 """
 
 from __future__ import annotations
@@ -198,24 +200,41 @@ def _restrict(ctx: MGContext, block: np.ndarray, level: int) -> np.ndarray:
 
 def _block_width(ctx: MGContext, q: int) -> tuple[int, EigenApprox]:
     """Columns ``w`` a solver tracks for ``q`` pairs, and the dense level-0
-    pairs that chose it.
+    pairs that chose it, whose first ``w`` start the sweep.
 
     ``w`` in ``{q, q+1, q+2}`` minimises ``lambda_w / lambda_{w+1}`` of the
     lowest ``min(q + 3, n_0)`` dense eigenvalues of level 0 (the smallest
     ``w`` on ties; ``w = q`` when ``n_0 = q``), so the block ends at the
-    widest gap there and does not cut a cluster that ``q`` would.  Fewer
-    than ``q`` dofs raise ``ValueError``.
+    widest gap there and does not cut a cluster that ``q`` would (LOBPCG
+    converges at the rate of the gap after its block).  Fewer than ``q``
+    dofs raise ``ValueError``.
     """
     dense = coarse_eigensolve(ctx, min(q + 3, max(q, ctx.n_dofs(0))))
     lam = dense.eigenvalues
     return (q + int(np.argmin(lam[q - 1 : -1] / lam[q:])) if lam.size > q else q), dense
 
 
-def _leading(approx: EigenApprox, q: int) -> EigenApprox:
-    """The first ``q`` pairs of ``approx``, with its work."""
-    return EigenApprox(
-        approx.level, approx.eigenvalues[:q], approx.vectors[:, :q], approx.work_units
-    )
+def _sweep(ctx: MGContext, q: int, last: int, improve, on_level) -> EigenApprox:
+    """The nested sweep of both solvers, from level 0 up to ``last``.
+
+    Level 0's block is the first ``w`` pairs of :func:`_block_width`'s dense
+    solve; every finer level starts from the block below, prolongated
+    through one transfer, with its eigenvalues and work.  On every level
+    ``improve(block)`` returns the block to pass up and the accepted
+    ``q``-pair :class:`EigenApprox` for ``on_level`` (if given); the last
+    level's is returned.
+    """
+    width, dense = _block_width(ctx, q)
+    block = EigenApprox(0, dense.eigenvalues[:width], dense.vectors[:, :width])
+    for k in range(last + 1):
+        if k > 0:
+            vectors = ctx.transfer[k - 1] @ block.vectors
+            # Rebinding ``accepted`` frees the level below's block it may view.
+            block = accepted = EigenApprox(k, block.eigenvalues, vectors, block.work_units)
+        block, accepted = improve(block)
+        if on_level is not None:
+            on_level(accepted)
+    return accepted
 
 
 def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
@@ -337,9 +356,9 @@ def full_multigrid(
     finer level prolongates the current block and applies ``config.p``
     correction steps to it.  The block has ``w`` columns, ``q`` plus up to
     two guard columns that end it at the widest gap of the lowest dense
-    eigenvalues of level 0 (the rule of :func:`direct_fine_solve`), so a
-    ``q`` that cuts a cluster does not lose a pair; the first ``q`` pairs
-    are returned, and the work counts all ``w`` columns.
+    eigenvalues of level 0 (see :func:`_block_width`), so a ``q`` that cuts
+    a cluster does not lose a pair; the first ``q`` pairs are returned, and
+    the work counts all ``w`` columns.
     ``on_level`` (if given) is called with the accepted :class:`EigenApprox`
     of each level, which is exactly what a run with fewer levels would
     return, its ``work_units`` included.  A caller-provided ``ctx`` is used
@@ -353,17 +372,13 @@ def full_multigrid(
             "ctx has %d levels but the hierarchy has %d" % (ctx.n_levels, hierarchy.n_levels)
         )
 
-    approx = coarse_eigensolve(ctx, _block_width(ctx, config.q)[0])
-    if on_level is not None:
-        on_level(_leading(approx, config.q))
-    for k in range(1, hierarchy.n_levels):
-        vectors = ctx.transfer[k - 1] @ approx.vectors
-        approx = EigenApprox(k, approx.eigenvalues.copy(), vectors, approx.work_units)
-        for _ in range(config.p):
-            approx = one_correction_step(ctx, approx, config)
-        if on_level is not None:
-            on_level(_leading(approx, config.q))
-    return _leading(approx, config.q)
+    def improve(block: EigenApprox) -> tuple[EigenApprox, EigenApprox]:
+        for _ in range(config.p if block.level else 0):
+            block = one_correction_step(ctx, block, config)
+        vals, vecs = block.eigenvalues[: config.q], block.vectors[:, : config.q]
+        return block, EigenApprox(block.level, vals, vecs, block.work_units)
+
+    return _sweep(ctx, config.q, hierarchy.n_levels - 1, improve, on_level)
 
 
 def direct_fine_solve(
@@ -372,21 +387,19 @@ def direct_fine_solve(
     """Baseline solver: one nested LOBPCG sweep from the coarsest level to ``level``.
 
     Level 0 is the dense solve of its lowest ``min(q + 3, n_0)`` pairs that
-    also picks the block width: LOBPCG stops only when every column has
-    converged, at the rate of the gap after the block, so ``w`` in
-    ``{q, q+1, q+2}`` ends the block at the widest gap of these eigenvalues,
-    as in :func:`full_multigrid`.  Its ``w`` eigenvectors are the same
-    functions whatever the vertex numbering, so the iteration above does not
-    depend on it.  On every finer level :func:`scipy.sparse.linalg.lobpcg`
-    (Knyazev 2001) iterates the level below's block, prolongated, so it only
-    removes the error the refinement adds (Knyazev & Neymeyr, ETNA 15,
-    2003); on a level with fewer than ``5 w`` dofs scipy solves densely
-    instead, with no work.  The preconditioner, one float32 V-cycle from a
-    zero guess (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is
-    symmetric positive definite up to round-off, as LOBPCG's theory assumes.
-    LOBPCG's target is ``tol * max|A|``.  On every level, level 0 included,
-    the first ``q`` columns of the mass-orthonormal block, up to sign, must
-    meet ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
+    also picks the block width ``w`` (see :func:`_block_width`).  Its ``w``
+    eigenvectors are the same functions whatever the vertex numbering, so the
+    iteration above does not depend on it.  On every finer level
+    :func:`scipy.sparse.linalg.lobpcg` (Knyazev 2001) iterates the level
+    below's block, prolongated, so it only removes the error the refinement
+    adds (Knyazev & Neymeyr, ETNA 15, 2003); on a level with fewer than
+    ``5 w`` dofs scipy solves densely instead, with no work.  The
+    preconditioner, one float32 V-cycle from a zero guess
+    (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is symmetric positive
+    definite up to round-off, as LOBPCG's theory assumes.  LOBPCG's target
+    is ``tol * max|A|``.  On every level, level 0 included, the first ``q``
+    columns of the mass-orthonormal block, up to sign, must meet
+    ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
     naming the level is raised, above level 0 after ``DIRECT_ATTEMPTS``
     calls.  This check alone decides: LOBPCG's ``UserWarning`` (a call that
     stops above its target, a dense fallback) is ignored.
@@ -406,62 +419,41 @@ def direct_fine_solve(
     if level is None:
         level = ctx.n_levels - 1
     _check_level(ctx, level)
-    width, dense = _block_width(ctx, q)
-    block = dense.vectors[:, :width]
-    approx = _checked(ctx, 0, dense.eigenvalues, block, q, tol, 0.0)
-    for k in range(level + 1):
-        if k > 0:
-            approx, block = _lobpcg_level(
-                ctx, k, ctx.transfer[k - 1] @ block, q, tol, approx.work_units
-            )
-        if on_level is not None:
-            on_level(approx)
-    return approx
-
-
-def _checked(
-    ctx: MGContext, level: int, vals: np.ndarray, block: np.ndarray, q: int, tol: float,
-    work: float,
-) -> EigenApprox:
-    """The first ``q`` pairs of an ascending block of ``level``, with ``work``;
-    :class:`ConvergenceError` when a residual exceeds ``tol * max|A|``."""
-    a, b = ctx.stiffness[level], ctx.mass[level]
-    vecs = sign_fix(block[:, :q].copy())
-    residuals = np.linalg.norm(a @ vecs - (b @ vecs) * vals[:q], axis=0)
-    worst = float(residuals.max()) / float(np.abs(a.data).max())
-    if not worst <= tol:
-        raise ConvergenceError(
-            "residual %g > tol %g (relative to max|A|) on level %d" % (worst, tol, level)
-        )
-    return EigenApprox(level, vals[:q], vecs, work)
+    return _sweep(ctx, q, level, lambda block: _lobpcg_level(ctx, block, q, tol), on_level)
 
 
 def _lobpcg_level(
-    ctx: MGContext, level: int, block: np.ndarray, q: int, tol: float, work: float
-) -> tuple[EigenApprox, np.ndarray]:
-    """One level of :func:`direct_fine_solve` from ``block``: its ``q`` pairs,
-    with ``work`` plus this level's, and the whole converged block."""
-    a, b = ctx.stiffness[level], ctx.mass[level]
+    ctx: MGContext, block: EigenApprox, q: int, tol: float
+) -> tuple[EigenApprox, EigenApprox]:
+    """One level of :func:`direct_fine_solve` from ``block`` (on level 0, the
+    dense block as it is): LOBPCG's raw block, and its first ``q`` pairs
+    sign-fixed once each residual is at most ``tol * max|A|``."""
+    k = block.level
+    a, b = ctx.stiffness[k], ctx.mass[k]
     a_scale = float(np.abs(a.data).max())
+    work = block.work_units
     columns = 0
 
     def precondition(r):
         nonlocal columns
         columns += r.shape[1]
-        return mg_solve(ctx, level, r, 1)
+        return mg_solve(ctx, k, r, 1)
 
-    for attempt in range(DIRECT_ATTEMPTS):
-        with _LOBPCG_LOCK, _one_blas_thread(), warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            vals, block = lobpcg(
-                a, block, B=b, M=precondition,
-                tol=tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
-            )
-        order = np.argsort(vals)
-        vals, block = vals[order], block[:, order]
-        work_here = work + columns * ctx.cycle_work(level)
-        try:
-            return _checked(ctx, level, vals, block, q, tol, work_here), block
-        except ConvergenceError:
-            if attempt == DIRECT_ATTEMPTS - 1:
-                raise
+    for _ in range(DIRECT_ATTEMPTS if k else 1):
+        if k:
+            with _LOBPCG_LOCK, _one_blas_thread(), warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                vals, vectors = lobpcg(
+                    a, block.vectors, B=b, M=precondition,
+                    tol=tol * a_scale, maxiter=DIRECT_MAX_ITERS, largest=False,
+                )
+            order = np.argsort(vals)
+            work_here = work + columns * ctx.cycle_work(k)
+            block = EigenApprox(k, vals[order], vectors[:, order], work_here)
+        vals, vecs = block.eigenvalues[:q], sign_fix(block.vectors[:, :q].copy())
+        worst = float(np.linalg.norm(a @ vecs - (b @ vecs) * vals, axis=0).max()) / a_scale
+        if worst <= tol:  # false for a NaN residual
+            return block, EigenApprox(k, vals, vecs, block.work_units)
+    raise ConvergenceError(
+        "residual %g > tol %g (relative to max|A|) on level %d" % (worst, tol, k)
+    )

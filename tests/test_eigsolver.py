@@ -431,15 +431,16 @@ class TestAugmentedRitz:
 class TestFullMultigrid:
     def test_single_level_equals_coarse_solve(self, model_coeff):
         # q=2 cuts the double 5 pi^2, so the block has a guard column, and
-        # the run returns the first two pairs of the 3-pair dense solve.
+        # the run returns the first two pairs of the dense solve that chose
+        # the width (q + 3 = 5 pairs).
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         config = fg.SolverConfig(q=2, m=2, p=2, nu=2)
         via_fmg = fg.full_multigrid(hier, model_coeff, config, ctx=ctx)
-        assert eigsolver._block_width(ctx, 2)[0] == 3
-        direct = fg.coarse_eigensolve(ctx, 3)
-        assert np.array_equal(via_fmg.eigenvalues, direct.eigenvalues[:2])
-        assert np.array_equal(via_fmg.vectors, direct.vectors[:, :2])
+        width, dense = eigsolver._block_width(ctx, 2)
+        assert width == 3
+        assert np.array_equal(via_fmg.eigenvalues, dense.eigenvalues[:2])
+        assert np.array_equal(via_fmg.vectors, dense.vectors[:, :2])
 
     def test_guard_columns_keep_a_mode_the_coarse_mesh_orders_late(self):
         # On the seed-1 benchmark mesh the coarse space orders the general
@@ -1046,6 +1047,21 @@ class TestDirectFineSolve:
             fg.direct_fine_solve(general_ctx, 2, 1e-9)
         assert calls == [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
 
+    def test_non_finite_result_raises(self, general_ctx, monkeypatch):
+        # A NaN residual is no pass: level 1 exhausts its attempts.
+        calls = []
+
+        def nan_on_level_1(a, block, **kwargs):
+            calls.append(a.shape[0])
+            if a.shape[0] == general_ctx.n_dofs(1):
+                return np.arange(1.0, block.shape[1] + 1), np.full_like(block, np.nan)
+            return scipy.sparse.linalg.lobpcg(a, block, **kwargs)
+
+        monkeypatch.setattr("fmgeig.eigsolver.lobpcg", nan_on_level_1)
+        with pytest.raises(fg.ConvergenceError, match="on level 1$"):
+            fg.direct_fine_solve(general_ctx, 2, 1e-9)
+        assert calls == [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
+
     @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "past-finest"])
     @pytest.mark.parametrize("solve", ["direct_fine_solve", "coarse_eigensolve"])
     def test_level_out_of_range(self, model_coeff, solve, level):
@@ -1063,3 +1079,46 @@ class TestDirectFineSolve:
         )
         assert np.array_equal(out.eigenvalues, vals)
         assert np.array_equal(out.vectors, vecs)
+
+
+class TestSharedSweep:
+    """Both solvers run one sweep from one dense solve of level 0."""
+
+    def test_one_dense_solve_per_call(self, model_coeff, monkeypatch):
+        calls = []
+
+        def spy(ctx, q, level=0):
+            calls.append((q, level))
+            return fg.coarse_eigensolve(ctx, q, level)
+
+        monkeypatch.setattr("fmgeig.eigsolver.coarse_eigensolve", spy)
+        hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
+        ctx = fg.build_mg_context(hier, model_coeff, nu=2)
+        fg.full_multigrid(hier, model_coeff, fg.SolverConfig(q=2), ctx=ctx)
+        assert calls == [(5, 0)]
+        calls.clear()
+        fg.direct_fine_solve(ctx, 2, 1e-9, level=0)
+        assert calls == [(5, 0)]
+
+    @pytest.mark.parametrize("q", [1, 2, 6, 7, 11])
+    @pytest.mark.parametrize("problem", ["model", "general"])
+    def test_both_solvers_report_the_same_level_0(self, problem, q, tmp_path):
+        spec = fg.model_problem(q) if problem == "model" else fg.general_problem()
+        mesh = benchmark_mesh(1)
+        hier = fg.build_hierarchy(mesh, 1)
+        ctx = fg.build_mg_context(hier, spec.coefficients, nu=2)
+        fmg = []
+        fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=q), ctx=ctx, on_level=fmg.append)
+        direct = fg.direct_fine_solve(ctx, q, 1e-9, level=0)
+        assert np.array_equal(fmg[0].eigenvalues, direct.eigenvalues)
+        assert np.array_equal(fmg[0].vectors, direct.vectors)
+        out = tmp_path / "study.csv"
+        fg.run_study(spec, mesh, 1, fg.SolverConfig(q=q), out, compare_direct=True)
+        lines = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")]
+        column = lines[0].index("lambda_h")
+        lambda_h = {
+            method: [row[column] for row in lines[1:] if row[0] == method and row[1] == "1"]
+            for method in ("fmg", "direct")
+        }
+        assert len(lambda_h["fmg"]) == q
+        assert lambda_h["fmg"] == lambda_h["direct"]
