@@ -20,10 +20,11 @@ that ends at a gap of the coarse spectrum, then on every finer level the
 block below, prolongated, improved by the solver's own corrector: ``p``
 correction steps in :func:`full_multigrid`, and LOBPCG preconditioned by one
 float32 block V-cycle in the independent baseline :func:`direct_fine_solve`.
-Returned blocks are orthonormal in the mass inner product, with eigenvalues
-in ascending order.  In each vector the first entry within a relative 1e-8
-of the largest magnitude is positive, a sign convention that entries tied up
-to round-off cannot flip.
+The sweep alone shapes their output: on each level it accepts the first
+``q`` pairs of the improved block, mass-orthonormal with ascending
+eigenvalues, and fixes the signs of a copy: in each vector the first entry
+within a relative 1e-8 of the largest magnitude is positive, a convention
+that entries tied up to round-off cannot flip.
 """
 
 from __future__ import annotations
@@ -220,18 +221,19 @@ def _sweep(ctx: MGContext, q: int, last: int, improve, on_level) -> EigenApprox:
     Level 0's block is the first ``w`` pairs of :func:`_block_width`'s dense
     solve; every finer level starts from the block below, prolongated
     through one transfer, with its eigenvalues and work.  On every level
-    ``improve(block)`` returns the block to pass up and the accepted
-    ``q``-pair :class:`EigenApprox` for ``on_level`` (if given); the last
-    level's is returned.
+    ``improve(block)`` returns the block to pass up; its first ``q`` pairs,
+    sign-fixed on a copy, are the level's accepted :class:`EigenApprox`,
+    given to ``on_level`` (if given).  The last level's is returned.
     """
     width, dense = _block_width(ctx, q)
     block = EigenApprox(0, dense.eigenvalues[:width], dense.vectors[:, :width])
     for k in range(last + 1):
         if k > 0:
             vectors = ctx.transfer[k - 1] @ block.vectors
-            # Rebinding ``accepted`` frees the level below's block it may view.
-            block = accepted = EigenApprox(k, block.eigenvalues, vectors, block.work_units)
-        block, accepted = improve(block)
+            block = EigenApprox(k, block.eigenvalues, vectors, block.work_units)
+        block = improve(block)
+        vectors = sign_fix(block.vectors[:, :q].copy())
+        accepted = EigenApprox(k, block.eigenvalues[:q], vectors, block.work_units)
         if on_level is not None:
             on_level(accepted)
     return accepted
@@ -288,7 +290,8 @@ def one_correction_step(
     epsilon, which the conditioning of the augmented basis sets
     (``GRAM_DROP_TOL`` caps it); when that figure exceeds ``_LIFT_GUARD``,
     one Cholesky-QR pass on the fine Gram ``V' B_k V`` removes the drift.
-    The result's work is the input's plus that of the ``m`` cycles.
+    Column signs are those the lift leaves.  The result's work is the
+    input's plus that of the ``m`` cycles.
     Raises :class:`SolverError` when the cycles increase the residual of any
     pair or make it non-finite.
     """
@@ -340,7 +343,7 @@ def one_correction_step(
         inverse = _lower_inverse(cholesky_dense(_gram(vectors, b_k @ vectors)))
         vectors = _add_product(np.zeros_like(vectors), vectors, inverse.T)
     work = approx.work_units + config.m * approx.q * ctx.cycle_work(k)
-    return EigenApprox(k, vals, sign_fix(vectors), work)
+    return EigenApprox(k, vals, vectors, work)
 
 
 def full_multigrid(
@@ -372,11 +375,10 @@ def full_multigrid(
             "ctx has %d levels but the hierarchy has %d" % (ctx.n_levels, hierarchy.n_levels)
         )
 
-    def improve(block: EigenApprox) -> tuple[EigenApprox, EigenApprox]:
+    def improve(block: EigenApprox) -> EigenApprox:
         for _ in range(config.p if block.level else 0):
             block = one_correction_step(ctx, block, config)
-        vals, vecs = block.eigenvalues[: config.q], block.vectors[:, : config.q]
-        return block, EigenApprox(block.level, vals, vecs, block.work_units)
+        return block
 
     return _sweep(ctx, config.q, hierarchy.n_levels - 1, improve, on_level)
 
@@ -398,7 +400,7 @@ def direct_fine_solve(
     (:func:`~fmgeig.multigrid.mg_solve` with ``m=1``), is symmetric positive
     definite up to round-off, as LOBPCG's theory assumes.  LOBPCG's target
     is ``tol * max|A|``.  On every level, level 0 included, the first ``q``
-    columns of the mass-orthonormal block, up to sign, must meet
+    columns of the mass-orthonormal block must meet
     ``|A u - lambda B u| <= tol * max|A|``, or :class:`ConvergenceError`
     naming the level is raised, above level 0 after ``DIRECT_ATTEMPTS``
     calls.  This check alone decides: LOBPCG's ``UserWarning`` (a call that
@@ -422,12 +424,10 @@ def direct_fine_solve(
     return _sweep(ctx, q, level, lambda block: _lobpcg_level(ctx, block, q, tol), on_level)
 
 
-def _lobpcg_level(
-    ctx: MGContext, block: EigenApprox, q: int, tol: float
-) -> tuple[EigenApprox, EigenApprox]:
+def _lobpcg_level(ctx: MGContext, block: EigenApprox, q: int, tol: float) -> EigenApprox:
     """One level of :func:`direct_fine_solve` from ``block`` (on level 0, the
-    dense block as it is): LOBPCG's raw block, and its first ``q`` pairs
-    sign-fixed once each residual is at most ``tol * max|A|``."""
+    dense block as it is): LOBPCG's block, once the residual of each of its
+    first ``q`` pairs is at most ``tol * max|A|``."""
     k = block.level
     a, b = ctx.stiffness[k], ctx.mass[k]
     a_scale = float(np.abs(a.data).max())
@@ -450,10 +450,10 @@ def _lobpcg_level(
             order = np.argsort(vals)
             work_here = work + columns * ctx.cycle_work(k)
             block = EigenApprox(k, vals[order], vectors[:, order], work_here)
-        vals, vecs = block.eigenvalues[:q], sign_fix(block.vectors[:, :q].copy())
+        vals, vecs = block.eigenvalues[:q], block.vectors[:, :q]
         worst = float(np.linalg.norm(a @ vecs - (b @ vecs) * vals, axis=0).max()) / a_scale
         if worst <= tol:  # false for a NaN residual
-            return block, EigenApprox(k, vals, vecs, block.work_units)
+            return block
     raise ConvergenceError(
         "residual %g > tol %g (relative to max|A|) on level %d" % (worst, tol, k)
     )

@@ -5,9 +5,9 @@ Discretizes problems of the form
     -div(A grad u) + phi u = lambda rho u  in the domain,  u = 0 on the boundary,
 
 with continuous piecewise-linear elements on triangles.  Dirichlet
-conditions are imposed by elimination: matrices are built over interior
-vertices only (pass ``dofmap=None`` to obtain the full pre-elimination
-matrix), which keeps them symmetric positive definite.
+conditions are imposed by elimination: matrices are built over the vertices
+a dofmap lists, the interior ones (:func:`interior_dofmap`) for the solvers,
+which keeps them symmetric positive definite.
 
 Quadrature is the 3-point edge-midpoint rule, exact for quadratics, hence
 exact for every constant-coefficient term with P1 bases and accurate enough
@@ -124,7 +124,7 @@ def _eval(func, qx, qy, name, first, shape=()):
     return np.broadcast_to(vals, per_point).reshape(qx.shape + shape)
 
 
-def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None) -> sp.csr_array:
+def _scatter_plan(mesh: Mesh, dofmap: np.ndarray) -> sp.csr_array:
     """The CSR pattern from the mesh's edge table, each value its entry's source.
 
     The pattern is the diagonal plus both directions of every edge without
@@ -134,9 +134,7 @@ def _scatter_plan(mesh: Mesh, dofmap: np.ndarray | None) -> sp.csr_array:
     ``(lo, hi)`` and ``(hi, lo)``, and ``n_edges + v`` for the diagonal of
     vertex ``v``.
     """
-    if dofmap is None:
-        dofmap = np.arange(mesh.n_vertices)
-    n = dofmap.shape[0]
+    n = len(dofmap)
     vertex_dof = np.full(mesh.n_vertices, -1, dtype=np.int32)
     vertex_dof[dofmap] = np.arange(n)
 
@@ -256,18 +254,17 @@ def _galerkin_table(levels: int) -> np.ndarray:
 
 def assemble_pencil(
     mesh: Mesh,
-    dofmap: np.ndarray | None,
+    dofmap: np.ndarray,
     coeff: CoefficientField,
-    coarse: tuple[Mesh, np.ndarray | None] | None = None,
+    coarse: tuple[Mesh, np.ndarray] | None = None,
 ) -> tuple:
     """Assemble the stiffness and mass matrices of ``coeff`` on ``mesh``.
 
     The stiffness form is ``integral(grad u . A grad v + phi u v)`` and the
-    mass form ``integral(rho u v)``.  With ``dofmap`` given, rows and columns
-    of boundary vertices are eliminated and both matrices are symmetric
-    positive definite over interior dofs.  ``dofmap=None`` returns the full
-    vertex matrices (the stiffness is singular for the pure gradient term:
-    constants lie in its kernel).
+    mass form ``integral(rho u v)``.  Dof ``i`` is vertex ``dofmap[i]``; with
+    :func:`interior_dofmap` both matrices are symmetric positive definite,
+    and with every vertex the stiffness is singular for the pure gradient
+    term (constants lie in its kernel).
 
     ``coarse = (coarse_mesh, coarse_dofmap)`` names the mesh that ``mesh``
     was refined from by :func:`~fmgeig.mesh.refine_regular`, any number of

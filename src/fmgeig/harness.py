@@ -198,7 +198,8 @@ def compute_errors(
                 continue
             target = interpolate(hierarchy.meshes[level], ctx.dofmaps[level], fn)
             vec = approx.vectors[:, j]
-            if float(vec @ (mass @ target)) < 0.0:
+            # Not a BLAS dot: for a long vector that leaves an OpenBLAS worker spinning.
+            if float(np.einsum("i,i->", vec, mass @ target)) < 0.0:
                 vec = -vec
             energy_err[j] = norm_a(stiffness, target - vec)
 

@@ -10,7 +10,7 @@ connecting the edge midpoints, halving the mesh size.  The fine mesh takes
 its edge table and boundary flags from the parent's, so only a mesh given
 by its connectivity alone sorts its edges, and the coarse-to-fine
 interpolation of piecewise-linear vertex coefficients is read off the
-parent's edge table when it is asked for, never stored.
+parent's edge table by the multigrid set-up, never stored.
 :func:`build_hierarchy` chains refinements into a :class:`MeshHierarchy`,
 the nested sequence of spaces the multigrid solvers operate on.
 """
@@ -93,15 +93,6 @@ class MeshHierarchy:
     def n_levels(self) -> int:
         return len(self.meshes)
 
-    @property
-    def prolongations(self) -> list[sp.csr_array]:
-        """``[k]`` interpolates vertex coefficients of ``meshes[k]`` onto ``meshes[k + 1]``,
-        built on each access from the edges of ``meshes[k]`` (not stored)."""
-        return [
-            _interpolation(coarse, np.arange(coarse.n_vertices), np.arange(fine.n_vertices))
-            for coarse, fine in zip(self.meshes, self.meshes[1:])
-        ]
-
 
 def _edge_table(
     triangles: np.ndarray, nv: int
@@ -168,10 +159,15 @@ def unit_square_mesh(nx: int) -> Mesh:
 
     Every grid square is split along its lower-left to upper-right diagonal,
     giving ``(nx + 1)**2`` vertices and ``2 * nx**2`` triangles, all
-    counterclockwise.
+    counterclockwise.  More than :data:`MAX_VERTICES` vertices raise
+    ``ValueError`` before anything is allocated.
     """
     if nx < 1:
         raise ValueError("nx must be >= 1, got %r" % (nx,))
+    if (nx + 1) ** 2 > MAX_VERTICES:
+        raise ValueError(
+            "nx = %d gives %d vertices, above the cap %d" % (nx, (nx + 1) ** 2, MAX_VERTICES)
+        )
     coords = np.linspace(0.0, 1.0, nx + 1)
     x, y = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([x.ravel(), y.ravel()])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fmgeig as fg
 from fmgeig.linalg import _openblas_controls
+from fmgeig.mesh import _interpolation
 
 # Property tests draw the same examples on every run, with no time limit and
 # no example database; each test sets only its own ``max_examples``.
@@ -140,6 +141,15 @@ class CountingMatrix:
     def __matmul__(self, other):
         self.products += 1
         return self.matrix @ other
+
+
+def vertex_prolongations(hierarchy):
+    """``[k]`` interpolates vertex coefficients of ``meshes[k]`` onto ``meshes[k + 1]``."""
+    meshes = hierarchy.meshes
+    return [
+        _interpolation(coarse, np.arange(coarse.n_vertices), np.arange(fine.n_vertices))
+        for coarse, fine in zip(meshes, meshes[1:])
+    ]
 
 
 def folded_prolongation(ctx, level):

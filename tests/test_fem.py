@@ -29,6 +29,11 @@ def perturbed_square_mesh(nx, seed=0):
     return dataclasses.replace(mesh, vertices=mesh.vertices + shift)
 
 
+def full_pencil(mesh, coeff):
+    """The stiffness and mass matrices over every vertex, boundary included."""
+    return fg.assemble_pencil(mesh, np.arange(mesh.n_vertices), coeff)
+
+
 def loop_pencil(mesh, coeff):
     """Dense stiffness and mass by a plain loop over triangles and midpoints."""
     n = mesh.n_vertices
@@ -95,7 +100,7 @@ class TestAssemblePencil:
         # Variable tensor, reaction and mass weight.
         mesh = LOOP_MESHES[mesh_name]()
         coeff = fg.general_problem().coefficients
-        dofmap = fg.interior_dofmap(mesh) if interior else None
+        dofmap = fg.interior_dofmap(mesh) if interior else np.arange(mesh.n_vertices)
         expected = loop_pencil(mesh, coeff)
         if interior:
             keep = np.ix_(dofmap, dofmap)
@@ -123,7 +128,7 @@ class TestAssemblePencil:
             coeff = fg.general_problem().coefficients
         else:
             coeff = dataclasses.replace(fg.laplace_coefficients(), a=lambda x, y: tensor)
-        dofmap = fg.interior_dofmap(mesh) if interior else None
+        dofmap = fg.interior_dofmap(mesh) if interior else np.arange(mesh.n_vertices)
         expected = loop_pencil(mesh, coeff)
         if interior:
             keep = np.ix_(dofmap, dofmap)
@@ -167,7 +172,7 @@ class TestSharedStructure:
     @settings(max_examples=10)
     @given(mesh=shuffled_meshes(st.integers(1, 4)), interior=st.booleans())
     def test_pencil_shares_index_arrays(self, mesh, interior):
-        dofmap = fg.interior_dofmap(mesh) if interior else None
+        dofmap = fg.interior_dofmap(mesh) if interior else np.arange(mesh.n_vertices)
         stiffness, mass = fg.assemble_pencil(mesh, dofmap, POLYNOMIAL_COEFFICIENTS)
         # Empty arrays share no memory: square1 without its boundary is empty.
         assert stiffness.nnz == 0 or np.shares_memory(stiffness.indices, mass.indices)
@@ -178,7 +183,7 @@ class TestSharedStructure:
         # The shuffled meshes of the triangle-loop property test.
         nx, amplitude, seed, interior = case
         mesh = shuffled_square_mesh(nx, amplitude, seed)
-        dofmap = fg.interior_dofmap(mesh) if interior else None
+        dofmap = fg.interior_dofmap(mesh) if interior else np.arange(mesh.n_vertices)
         pencil = fg.assemble_pencil(mesh, dofmap, POLYNOMIAL_COEFFICIENTS)
         assert digest(pencil) == RECORDED_DIGESTS[case]
 
@@ -236,14 +241,14 @@ class TestStiffness:
     def test_reference_element_matrix(self):
         # Exact integration of the constant P1 gradients on the unit triangle.
         mesh = fg.load_mesh(REFERENCE_TRIANGLE)
-        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[0].toarray()
+        matrix = full_pencil(mesh, fg.laplace_coefficients())[0].toarray()
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.abs(matrix - expected).max() < 1e-15
 
     @pytest.mark.parametrize("nx", [2, 4, 7])
     def test_full_matrix_rows_sum_to_zero(self, nx):
         mesh = fg.unit_square_mesh(nx)
-        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[0]
+        matrix = full_pencil(mesh, fg.laplace_coefficients())[0]
         sums = np.asarray(matrix.sum(axis=1)).ravel()
         assert np.abs(sums).max() < 1e-12
 
@@ -270,13 +275,17 @@ class TestStiffness:
 
     def test_without_dofmap_full_singular_matrix(self):
         mesh = fg.unit_square_mesh(3)
-        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[0]
+        matrix = full_pencil(mesh, fg.laplace_coefficients())[0]
         assert matrix.shape == (mesh.n_vertices, mesh.n_vertices)
         assert matrix.nnz == mesh.n_vertices + 2 * len(mesh.edges)
         # Constants span the kernel and nothing else does.
         eigenvalues = np.linalg.eigvalsh(matrix.toarray())
         assert abs(eigenvalues[0]) < 1e-14
         assert eigenvalues[1] > 1e-2
+
+    def test_dofmap_is_required(self):
+        with pytest.raises(TypeError):
+            fg.assemble_pencil(fg.unit_square_mesh(2), None, fg.laplace_coefficients())
 
     def test_assembly_bit_reproducible(self):
         spec = fg.general_problem()
@@ -331,7 +340,7 @@ class TestStiffness:
         coeff = with_coefficient(field, poisoned)
         message = "non-finite %s coefficient in triangle 1$" % name
         with pytest.raises(AssemblyError, match=message):
-            fg.assemble_pencil(fg.unit_square_mesh(2), None, coeff)
+            full_pencil(fg.unit_square_mesh(2), coeff)
 
     @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
     def test_nonfinite_coefficient_names_lowest_triangle(self, field):
@@ -352,7 +361,7 @@ class TestStiffness:
 
         message = "non-finite %s coefficient in triangle %d$" % (name, lowest)
         with pytest.raises(AssemblyError, match=message):
-            fg.assemble_pencil(mesh, None, with_coefficient(field, poisoned))
+            full_pencil(mesh, with_coefficient(field, poisoned))
 
     @pytest.mark.parametrize("chunk", [2, 3])
     @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
@@ -376,14 +385,14 @@ class TestStiffness:
         monkeypatch.setattr(fem, "_CHUNK", chunk)
         message = "non-finite %s coefficient in triangle %d$" % (name, lowest)
         with pytest.raises(AssemblyError, match=message):
-            fg.assemble_pencil(mesh, None, with_coefficient(field, poisoned))
+            full_pencil(mesh, with_coefficient(field, poisoned))
 
     @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
     def test_wrong_shape_names_coefficient(self, field):
         name, _ = COEFFICIENTS[field]
         coeff = with_coefficient(field, lambda x, y: np.ones((x.shape[0], 3)))
         with pytest.raises(AssemblyError, match="^%s evaluation returned shape" % name):
-            fg.assemble_pencil(fg.unit_square_mesh(2), None, coeff)
+            full_pencil(fg.unit_square_mesh(2), coeff)
 
     @pytest.mark.parametrize("field", sorted(COEFFICIENTS))
     def test_constant_matches_per_point_array(self, field):
@@ -403,7 +412,7 @@ class TestMass:
     def test_reference_element_matrix(self):
         # Exact integration of barycentric products, area 1/2.
         mesh = fg.load_mesh(REFERENCE_TRIANGLE)
-        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[1].toarray()
+        matrix = full_pencil(mesh, fg.laplace_coefficients())[1].toarray()
         expected = (0.5 / 12.0) * np.array(
             [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]
         )
@@ -411,7 +420,7 @@ class TestMass:
 
     def test_total_sum_is_domain_area(self):
         mesh = fg.unit_square_mesh(4)
-        matrix = fg.assemble_pencil(mesh, None, fg.laplace_coefficients())[1]
+        matrix = full_pencil(mesh, fg.laplace_coefficients())[1]
         assert abs(matrix.sum() - 1.0) < 1e-12
 
     def test_weighted_sum_matches_integral(self):
@@ -420,7 +429,7 @@ class TestMass:
         coeff = fg.CoefficientField(
             a=lambda x, y: np.eye(2), phi=lambda x, y: 0.0, rho=rho_weighted
         )
-        matrix = fg.assemble_pencil(mesh, None, coeff)[1]
+        matrix = full_pencil(mesh, coeff)[1]
         assert abs(matrix.sum() - 1.0) <= 1e-10
 
     def test_positive_definite(self, small_ctx):

@@ -323,6 +323,16 @@ class TestCLI:
         assert code == 2
         assert not out.exists()
 
+    def test_square_above_vertex_cap_is_argument_error(self, tmp_path):
+        # square:1414 has 2,002,225 vertices, above mesh.MAX_VERTICES.
+        out = tmp_path / "cli.csv"
+        code = main([
+            "run", "--problem", "model", "--mesh", "square:1414", "--levels", "1",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
     def test_missing_mesh_file_is_argument_error(self, tmp_path):
         code = main([
             "run", "--problem", "model", "--mesh", str(tmp_path / "nope.mesh"),

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +10,7 @@ import fmgeig as fg
 from fmgeig import mesh as mesh_module
 from fmgeig.errors import MeshFormatError
 
-from conftest import benchmark_mesh, mesh_text, shuffled_meshes
+from conftest import benchmark_mesh, mesh_text, shuffled_meshes, vertex_prolongations
 
 
 def edge_counts(mesh):
@@ -47,7 +50,7 @@ def benchmark_style_mesh(nx=8, seed=1):
 def refined_with_prolongation(mesh):
     """The refined mesh and the prolongation onto it, from a 2-level hierarchy."""
     hierarchy = fg.build_hierarchy(mesh, 2)
-    return hierarchy.meshes[1], hierarchy.prolongations[0]
+    return hierarchy.meshes[1], vertex_prolongations(hierarchy)[0]
 
 
 def edge_keys(mesh):
@@ -119,6 +122,22 @@ class TestUnitSquareMesh:
     def test_rejects_nx0(self):
         with pytest.raises(ValueError):
             fg.unit_square_mesh(0)
+
+    def test_vertex_cap_before_allocation(self):
+        # square:1414 is the first above the cap, at 1415**2 = 2,002,225
+        # vertices; its coordinates alone would take 32 MB.
+        assert 1415**2 > mesh_module.MAX_VERTICES >= 1414**2
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="cap"):
+                fg.unit_square_mesh(1414)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 100_000
 
     @pytest.mark.parametrize("nx", [1, 2, 3, 5])
     def test_conforming_and_oriented(self, nx):
@@ -325,7 +344,7 @@ class TestRefinementProperties:
         hierarchy = fg.build_hierarchy(mesh, 3)
         bound = 1e-14 * (1.0 + sum(abs(c) for c in coef))
         meshes = hierarchy.meshes
-        for op, coarse, fine in zip(hierarchy.prolongations, meshes, meshes[1:]):
+        for op, coarse, fine in zip(vertex_prolongations(hierarchy), meshes, meshes[1:]):
             assert np.abs(op @ linear(coarse.vertices) - linear(fine.vertices)).max() <= bound
 
     @settings(max_examples=10)
@@ -454,7 +473,7 @@ class TestBuildHierarchy:
     def test_single_level(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 1)
         assert hier.n_levels == 1
-        assert hier.prolongations == []
+        assert vertex_prolongations(hier) == []
 
     def test_vertex_counts(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 3)
@@ -478,8 +497,9 @@ class TestBuildHierarchy:
 
     def test_composed_prolongation_row_sums(self):
         hier = fg.build_hierarchy(fg.unit_square_mesh(2), 4)
-        composed = hier.prolongations[0]
-        for op in hier.prolongations[1:]:
+        ops = vertex_prolongations(hier)
+        composed = ops[0]
+        for op in ops[1:]:
             composed = op @ composed
         assert composed.shape == (hier.meshes[3].n_vertices, 9)
         sums = np.asarray(composed.sum(axis=1)).ravel()
