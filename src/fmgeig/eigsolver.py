@@ -42,7 +42,7 @@ from .errors import ConvergenceError, DegenerateAugmentationError, SolverError
 from .fem import CoefficientField
 from .linalg import _one_blas_thread, cholesky_dense, generalized_eig_dense, sign_fix
 from .mesh import MeshHierarchy
-from .multigrid import MGContext, _check_level, build_mg_context, mg_solve
+from .multigrid import MGContext, _check_level, _residual, build_mg_context, mg_solve
 
 __all__ = [
     "EigenApprox",
@@ -228,10 +228,10 @@ def _sweep(ctx: MGContext, q: int, last: int, improve, on_level) -> EigenApprox:
     width, dense = _block_width(ctx, q)
     block = EigenApprox(0, dense.eigenvalues[:width], dense.vectors[:, :width])
     for k in range(last + 1):
-        if k > 0:
-            vectors = ctx.transfer[k - 1] @ block.vectors
-            block = EigenApprox(k, block.eigenvalues, vectors, block.work_units)
-        block = improve(block)
+        # Passed as a temporary, the prolongated block is freed once improve drops it.
+        block = improve(block if k == 0 else EigenApprox(
+            k, block.eigenvalues, ctx.transfer[k - 1] @ block.vectors, block.work_units
+        ))
         vectors = sign_fix(block.vectors[:, :q].copy())
         accepted = EigenApprox(k, block.eigenvalues[:q], vectors, block.work_units)
         if on_level is not None:
@@ -301,15 +301,17 @@ def one_correction_step(
     a_k = ctx.stiffness[k]
     b_k = ctx.mass[k]
 
-    rhs = (b_k @ approx.vectors) * approx.eigenvalues
+    rhs = b_k @ approx.vectors
+    rhs *= approx.eigenvalues
     # The guard's "before" residual is also the right-hand side of the cycles.
-    defect = rhs - a_k @ approx.vectors
+    defect = _residual(a_k, rhs, approx.vectors)
     before = _column_norms(defect)
+    floor = 1e-12 * _column_norms(rhs)
     smoothed = mg_solve(ctx, k, defect, config.m)
     smoothed += approx.vectors
     a_s = a_k @ smoothed
-    after = _column_norms(rhs - a_s)
-    floor = 1e-12 * _column_norms(rhs)
+    after = _column_norms(np.subtract(rhs, a_s, out=rhs))
+    del rhs, defect
     # Negated so that a NaN residual counts as divergence.
     diverged = np.flatnonzero(~(after <= np.maximum(before * (1.0 + 1e-8), floor)))
     if diverged.size:
@@ -329,6 +331,7 @@ def one_correction_step(
     n_h = ctx.n_dofs(0)
     a_aug = np.block([[ctx.coarse_stiffness[k], a_cross], [a_cross.T, _gram(smoothed, a_s)]])
     b_aug = np.block([[ctx.coarse_mass[k], b_cross], [b_cross.T, _gram(smoothed, b_s)]])
+    del a_s, b_s
     a_aug = 0.5 * (a_aug + a_aug.T)
     b_aug = 0.5 * (b_aug + b_aug.T)
 
@@ -430,7 +433,7 @@ def _lobpcg_level(ctx: MGContext, block: EigenApprox, q: int, tol: float) -> Eig
     first ``q`` pairs is at most ``tol * max|A|``."""
     k = block.level
     a, b = ctx.stiffness[k], ctx.mass[k]
-    a_scale = float(np.abs(a.data).max())
+    a_scale = float(max(a.data.max(), -a.data.min()))  # max|A| with no |A| copy
     work = block.work_units
     columns = 0
 

@@ -99,8 +99,8 @@ def laplace_coefficients() -> CoefficientField:
 
 
 def interior_dofmap(mesh: Mesh) -> np.ndarray:
-    """Increasing interior (non-boundary) vertex ids: dof ``i`` is vertex ``[i]``."""
-    return np.flatnonzero(~mesh.boundary_vertex)
+    """Increasing int32 interior (non-boundary) vertex ids: dof ``i`` is vertex ``[i]``."""
+    return np.flatnonzero(~mesh.boundary_vertex).astype(np.int32)
 
 
 def _eval(func, qx, qy, name, first, shape=()):

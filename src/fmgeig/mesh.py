@@ -35,10 +35,10 @@ __all__ = [
 ]
 
 #: Largest projected fine-level vertex count :func:`build_hierarchy` accepts.
-#: Measured peak memory is about 0.57 KB per fine vertex (566 MiB at 1.05M
+#: Measured peak memory is about 0.53 KB per fine vertex (524-527 MiB at 1.05M
 #: vertices for the 8-level model problem from ``square:8``), so 2M vertices
-#: need about 1.2 GB, under a sixth of an 8 GB host.  The cap also keeps the
-#: int32 connectivity and CSR index arrays of meshes and matrices in range.
+#: need about 1.1 GB, under a seventh of an 8 GB host.  The cap also keeps the
+#: int32 connectivity, dof maps and CSR index arrays in range.
 MAX_VERTICES = 2_000_000
 
 
@@ -352,8 +352,8 @@ def _interpolation(coarse: Mesh, columns: np.ndarray, rows: np.ndarray) -> sp.cs
     column[columns] = np.arange(n)
     ends = column.take(coarse.edges.take(rows[n:] - coarse.n_vertices, axis=0))
     kept = ends >= 0
-    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(kept.sum(axis=1))])
-    indices = np.concatenate([np.arange(n), ends[kept]])
+    indptr = np.concatenate([np.arange(n + 1), n + np.cumsum(kept.sum(axis=1))], dtype=np.int32)
+    indices = np.concatenate([np.arange(n), ends[kept]], dtype=np.int32)
     vals = np.concatenate([np.ones(n), np.full(len(indices) - n, 0.5)])
     return sp.csr_array((vals, indices, indptr), shape=(len(rows), n))
 

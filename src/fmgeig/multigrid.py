@@ -76,7 +76,8 @@ class MGContext:
     the dense inverse of the level-0 stiffness (unlike a triangular solve,
     its product with a block is fast on threaded BLAS).  Each level's
     stiffness and mass, and the float32 stiffness, share one pair of CSR
-    index arrays; each float32 transfer shares those of its float64 transfer.
+    index arrays; each float32 transfer shares those of its float64
+    transfer.  Every index array, the dof maps included, is int32.
     """
 
     stiffness: list
@@ -187,14 +188,15 @@ def _smooth(ctx: MGContext, level: int, f: np.ndarray, x: np.ndarray | None) -> 
     theta = 9.0 / 16.0 * ctx.lambda_max[level]  # centre of the interval
     delta = 7.0 / 16.0 * ctx.lambda_max[level]  # half-width
     rho = delta / theta
-    residual = f.copy() if x is None else f - matrix @ x
+    residual = f.copy() if x is None else _residual(matrix, f, x)
     step = (inv_diag / theta) * residual
     x = step.copy() if x is None else np.add(x, step, out=x)
     for _ in range(ctx.nu):
-        residual -= matrix @ step
+        product = matrix @ step
+        residual -= product
         rho, rho_prev = 1.0 / (2.0 * theta / delta - rho), rho
         step *= rho * rho_prev
-        step += (2.0 * rho / delta * inv_diag) * residual
+        step += np.multiply(2.0 * rho / delta * inv_diag, residual, out=product)
         x += step
     return x
 
@@ -204,10 +206,15 @@ def _cycle(ctx: MGContext, level: int, f: np.ndarray) -> np.ndarray:
     if level == 0:
         return ctx.coarse_inverse32 @ f
     x = _smooth(ctx, level, f, None)
-    residual = f - ctx.stiffness32[level] @ x
     transfer = ctx.transfer32[level - 1]
-    x += transfer @ _cycle(ctx, level - 1, transfer.T @ residual)
+    x += transfer @ _cycle(ctx, level - 1, transfer.T @ _residual(ctx.stiffness32[level], f, x))
     return _smooth(ctx, level, f, x)
+
+
+def _residual(matrix: sp.csr_array, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``f - matrix @ x``, formed in the buffer of the product."""
+    product = matrix @ x
+    return np.subtract(f, product, out=product)
 
 
 def _check_level(ctx: MGContext, level: int) -> None:
@@ -234,5 +241,5 @@ def mg_solve(ctx: MGContext, level: int, f: np.ndarray, m: int) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     x = _cycle(ctx, level, f.astype(np.float32)).astype(float)
     for _ in range(m - 1):
-        x += _cycle(ctx, level, (f - ctx.stiffness[level] @ x).astype(np.float32))
+        x += _cycle(ctx, level, _residual(ctx.stiffness[level], f, x).astype(np.float32))
     return x

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -553,6 +554,26 @@ class TestFullMultigrid:
         for k in (1, 2):
             change = np.abs(discrete[k] - discrete[k - 1])
             assert np.all(np.abs(levels[k].eigenvalues - discrete[k]) <= 1e-3 * change)
+
+
+class TestWorkingSet:
+    def test_fmg_peak_within_seven_finest_blocks(self):
+        # Traced peak of one FMG call above what was live before it, in
+        # finest (n, w) float64 blocks, general q=6, 5 levels, 16,129 dofs:
+        # 8.59 with out-of-place residuals and the sweep holding the
+        # prolongated block through the level's second step, 6.63 in place.
+        coeff = fg.general_problem().coefficients
+        hier = fg.build_hierarchy(benchmark_mesh(1), 5)
+        ctx = fg.build_mg_context(hier, coeff)
+        width, _ = eigsolver._block_width(ctx, 6)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            fg.full_multigrid(hier, coeff, fg.SolverConfig(q=6), ctx=ctx)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.0 * 8 * ctx.n_dofs(4) * width
 
 
 class TestConcurrentSolves:

@@ -511,3 +511,7 @@ class TestInteriorDofmap:
         mesh = fg.unit_square_mesh(3)
         dofmap = fg.interior_dofmap(mesh)
         assert np.array_equal(dofmap, np.flatnonzero(~mesh.boundary_vertex))
+
+    def test_int32(self):
+        # Like every mesh and CSR index array.
+        assert fg.interior_dofmap(fg.unit_square_mesh(3)).dtype == np.int32

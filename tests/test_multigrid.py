@@ -187,6 +187,14 @@ class TestBuildContext:
             assert np.shares_memory(matrix.indices, other.indices)
             assert np.shares_memory(matrix.indptr, other.indptr)
 
+    @pytest.mark.parametrize("ctx_name", ["small_ctx", "general_ctx"])
+    def test_index_arrays_are_int32(self, ctx_name, request):
+        ctx = request.getfixturevalue(ctx_name)
+        for name in ("stiffness", "mass", "stiffness32", "transfer", "transfer32"):
+            for matrix in getattr(ctx, name):
+                assert (matrix.indices.dtype, matrix.indptr.dtype) == (np.int32, np.int32), name
+        assert all(dofmap.dtype == np.int32 for dofmap in ctx.dofmaps)
+
     def test_float32_copies(self, general_ctx):
         ctx = general_ctx
         for matrix, copy in zip(ctx.stiffness + ctx.transfer, ctx.stiffness32 + ctx.transfer32):
