@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .errors import SolverError
-from .eigsolver import DIRECT_TOL_FLOOR, SolverConfig
+from .eigsolver import DIRECT_TOL, DIRECT_TOL_FLOOR, SolverConfig
 from .harness import general_problem, model_problem, run_study
 from .mesh import load_mesh, unit_square_mesh
 
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also run the direct baseline solver, one nested sweep over the levels",
     )
     run.add_argument(
-        "--direct-tol", type=float, default=1e-9,
+        "--direct-tol", type=float, default=DIRECT_TOL,
         help="direct baseline residual target, at least %g;"
         " -1e-9 and the like need --direct-tol=VALUE" % DIRECT_TOL_FLOOR,
     )

@@ -57,6 +57,8 @@ __all__ = [
 #: Iteration cap of one LOBPCG call in :func:`direct_fine_solve` (a sweep level
 #: of the benchmark meshes takes 7-15 iterations at tol=1e-9, 11-23 at 1e-12).
 DIRECT_MAX_ITERS = 100
+#: Default baseline residual target of :func:`~fmgeig.harness.run_study` and the CLI.
+DIRECT_TOL = 1e-9
 #: Smallest residual target :func:`~fmgeig.harness.run_study` accepts for the
 #: baseline.  LOBPCG can stall above 1e-13 of max|A| (1.7e-13 and 3.4e-13 on
 #: benchmark meshes), so a smaller target may do all the work and then fail.
@@ -71,7 +73,7 @@ DIRECT_ATTEMPTS = 2
 #: thread's filter installed for good, and the OpenBLAS thread count, which
 #: two interleaved caps would leave at one thread.
 _LOBPCG_LOCK = threading.Lock()
-#: Relative pivot threshold below which :func:`one_correction_step` drops
+#: Relative pivot threshold below which :func:`augmented_ritz` drops
 #: augmented-basis columns as numerically dependent.
 GRAM_DROP_TOL = 1e-12
 #: Rows per BLAS call of the thin block products of a correction step.  A
@@ -247,18 +249,18 @@ def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
 
 
 def augmented_ritz(
-    a_aug: np.ndarray, b_aug: np.ndarray, q: int, drop_tol: float
+    a_aug: np.ndarray, b_aug: np.ndarray, q: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-filtered dense solve of the augmented-space pencil.
 
     Diagonally pivoted Cholesky on ``b_aug`` (LAPACK ``dpstrf``) decides
     which basis columns are numerically dependent: it stops once the largest
-    remaining pivot falls to ``drop_tol`` times the largest diagonal entry,
-    and the columns not yet pivoted are removed before the eigensolve.
+    remaining pivot falls to ``GRAM_DROP_TOL`` times the largest diagonal
+    entry, and the columns not yet pivoted are removed before the eigensolve.
     Returns eigenvalues, eigenvectors in the retained basis, and the sorted
     indices of retained columns.
     """
-    tol = drop_tol * float(b_aug.diagonal().max(initial=0.0))
+    tol = GRAM_DROP_TOL * float(b_aug.diagonal().max(initial=0.0))
     _, piv, rank, _ = scipy.linalg.lapack.dpstrf(b_aug, tol=tol)
     perm = piv - 1
     if rank < q:
@@ -335,7 +337,7 @@ def one_correction_step(
     a_aug = 0.5 * (a_aug + a_aug.T)
     b_aug = 0.5 * (b_aug + b_aug.T)
 
-    vals, ritz, kept = augmented_ritz(a_aug, b_aug, approx.q, GRAM_DROP_TOL)
+    vals, ritz, kept = augmented_ritz(a_aug, b_aug, approx.q)
     coef = np.zeros((a_aug.shape[0], approx.q))
     coef[kept] = ritz  # dropped basis columns get zero weight
     # Cholesky-QR on the small pencil, c' B_aug c = L L', with L^{-T} folded into c.
@@ -367,23 +369,19 @@ def full_multigrid(
     the work counts all ``w`` columns.
     ``on_level`` (if given) is called with the accepted :class:`EigenApprox`
     of each level, which is exactly what a run with fewer levels would
-    return, its ``work_units`` included.  A caller-provided ``ctx`` is used
-    as is (its smoothing count overrides ``config.nu``); it must have as many
-    levels as ``hierarchy``.
+    return, its ``work_units`` included.  A given ``ctx`` decides the depth
+    and the smoothing count (over ``config.nu``); ``hierarchy`` and
+    ``coeff`` only build the context when none is given.
     """
     if ctx is None:
         ctx = build_mg_context(hierarchy, coeff, config.nu)
-    elif ctx.n_levels != hierarchy.n_levels:
-        raise ValueError(
-            "ctx has %d levels but the hierarchy has %d" % (ctx.n_levels, hierarchy.n_levels)
-        )
 
     def improve(block: EigenApprox) -> EigenApprox:
         for _ in range(config.p if block.level else 0):
             block = one_correction_step(ctx, block, config)
         return block
 
-    return _sweep(ctx, config.q, hierarchy.n_levels - 1, improve, on_level)
+    return _sweep(ctx, config.q, ctx.n_levels - 1, improve, on_level)
 
 
 def direct_fine_solve(

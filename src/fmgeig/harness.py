@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigsolver import (
+    DIRECT_TOL,
     DIRECT_TOL_FLOOR,
     EigenApprox,
     SolverConfig,
@@ -60,7 +61,7 @@ class ProblemSpec:
     """A named eigenvalue problem with optional exact reference data.
 
     ``exact_eigenvalues`` ascend with multiplicity; ``exact_eigenfunctions``
-    align with them (entries may be None).  ``simple`` flags eigenvalues of
+    align with them, one function each.  ``simple`` flags eigenvalues of
     multiplicity one, the only ones whose eigenfunctions are compared
     directly.
     """
@@ -133,13 +134,14 @@ def general_problem() -> ProblemSpec:
     return ProblemSpec("general", coeff)
 
 
-def extrapolate_reference(
-    lam_coarse: float, lam_fine: float, beta: float = 2.0, order: float = 2.0
-) -> float:
-    """Richardson extrapolation of two mesh levels to the limit eigenvalue."""
-    if beta <= 1.0 or order <= 0.0:
-        raise ValueError("need beta > 1 and order > 0")
-    return lam_fine + (lam_fine - lam_coarse) / (beta**order - 1.0)
+def extrapolate_reference(lam_coarse: float, lam_fine: float) -> float:
+    """Richardson extrapolation of two mesh levels to the limit eigenvalue.
+
+    Mesh-size ratio 2 (:func:`~fmgeig.mesh.refine_regular` halves ``h``) and
+    order 2 (P1 eigenvalues of smooth eigenfunctions converge at ``O(h^2)``):
+    the finer level's error is a third of the change from the coarser one.
+    """
+    return lam_fine + (lam_fine - lam_coarse) / 3.0
 
 
 @dataclass
@@ -192,9 +194,8 @@ def compute_errors(
 
     energy_err = np.full(q, np.nan)
     if spec.exact_eigenfunctions is not None:
-        for j in range(min(q, len(spec.exact_eigenfunctions))):
-            fn = spec.exact_eigenfunctions[j]
-            if fn is None or not spec.simple(j):
+        for j, fn in enumerate(spec.exact_eigenfunctions[:q]):
+            if not spec.simple(j):
                 continue
             target = interpolate(hierarchy.meshes[level], ctx.dofmaps[level], fn)
             vec = approx.vectors[:, j]
@@ -272,7 +273,7 @@ def run_study(
     config: SolverConfig,
     out_path,
     compare_direct: bool = False,
-    direct_tol: float = 1e-9,
+    direct_tol: float = DIRECT_TOL,
 ) -> list[StudyRow]:
     """Run the convergence study and write the CSV error table.
 

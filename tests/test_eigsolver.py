@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import fmgeig as fg
 from fmgeig import eigsolver, multigrid
-from fmgeig.eigsolver import GRAM_DROP_TOL, EigenApprox, augmented_ritz
+from fmgeig.eigsolver import EigenApprox, augmented_ritz
 from fmgeig.errors import DegenerateAugmentationError, SolverError
 from fmgeig.linalg import sign_fix
 
@@ -68,7 +68,7 @@ def reference_correction(ctx, approx, config):
             [cross.T, smoothed.T @ (matrix @ smoothed)],
         ])
         pencil.append(0.5 * (full + full.T))
-    vals, ritz, kept = augmented_ritz(*pencil, approx.q, GRAM_DROP_TOL)
+    vals, ritz, kept = augmented_ritz(*pencil, approx.q)
     kept_coarse = kept[kept < n_h]
     split = kept_coarse.shape[0]
     vectors = prolong[:, kept_coarse] @ ritz[:split]
@@ -344,8 +344,8 @@ class TestCorrectionStepReference:
         # weight in its place.
         kept = []
 
-        def recording_ritz(a_aug, b_aug, q, drop_tol):
-            out = augmented_ritz(a_aug, b_aug, q, drop_tol)
+        def recording_ritz(a_aug, b_aug, q):
+            out = augmented_ritz(a_aug, b_aug, q)
             kept.append(out[2])
             return out
 
@@ -399,7 +399,7 @@ class TestAugmentedRitz:
         spd = rng.standard_normal((5, 5))
         a_aug = spd.T @ spd + 5.0 * np.eye(5)
 
-        clean_vals, clean_vecs, clean_kept = augmented_ritz(a_aug, b_aug, 1, 1e-12)
+        clean_vals, clean_vecs, clean_kept = augmented_ritz(a_aug, b_aug, 1)
         assert np.array_equal(clean_kept, np.arange(5))
 
         # Append an exact duplicate of the last basis column.
@@ -408,7 +408,7 @@ class TestAugmentedRitz:
         a_dup[:5, :5], b_dup[:5, :5] = a_aug, b_aug
         a_dup[5, :5], a_dup[:5, 5], a_dup[5, 5] = a_aug[4], a_aug[:, 4], a_aug[4, 4]
         b_dup[5, :5], b_dup[:5, 5], b_dup[5, 5] = b_aug[4], b_aug[:, 4], b_aug[4, 4]
-        vals, _, kept = augmented_ritz(a_dup, b_dup, 1, 1e-12)
+        vals, _, kept = augmented_ritz(a_dup, b_dup, 1)
         assert kept.shape[0] == 5
         assert abs(vals[0] - clean_vals[0]) <= 1e-10 * abs(clean_vals[0])
 
@@ -418,13 +418,13 @@ class TestAugmentedRitz:
         b_aug = basis @ basis.T  # rank 5 Gram matrix of 8 columns
         spd = rng.standard_normal((8, 8))
         a_aug = spd @ spd.T + 8.0 * np.eye(8)
-        _, _, kept = augmented_ritz(a_aug, b_aug, 2, 1e-10)
+        _, _, kept = augmented_ritz(a_aug, b_aug, 2)
         assert kept.shape[0] == 5
 
     def test_rank_below_q_raises(self):
         ones = np.ones((3, 3))
         with pytest.raises(DegenerateAugmentationError):
-            augmented_ritz(np.eye(3), ones, 2, 1e-12)
+            augmented_ritz(np.eye(3), ones, 2)
 
 
 class TestFullMultigrid:
@@ -485,11 +485,19 @@ class TestFullMultigrid:
         out = fg.full_multigrid(small_hierarchy, model_coeff, config, ctx=small_ctx)
         assert b_orthonormality_drift(small_ctx.mass[out.level], out.vectors) <= 1e-10
 
-    @pytest.mark.parametrize("ctx_levels", [2, 4])
-    def test_context_of_another_depth_rejected(self, small_hierarchy, model_coeff, ctx_levels):
-        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(4), ctx_levels), model_coeff, nu=2)
-        with pytest.raises(ValueError, match="ctx has %d levels but the hierarchy has 3" % ctx_levels):
-            fg.full_multigrid(small_hierarchy, model_coeff, fg.SolverConfig(), ctx=ctx)
+    def test_given_context_sets_the_depth(self, small_hierarchy, model_coeff):
+        # The hierarchy only builds a missing context: a 2-level context
+        # stops the sweep at level 1 beside a 3-level hierarchy.
+        short = fg.build_hierarchy(fg.unit_square_mesh(4), 2)
+        ctx = fg.build_mg_context(short, model_coeff, nu=2)
+        config = fg.SolverConfig(q=2)
+        levels = []
+        out = fg.full_multigrid(
+            small_hierarchy, model_coeff, config, ctx=ctx, on_level=levels.append
+        )
+        assert [a.level for a in levels] == [0, 1] and out.level == 1
+        matching = fg.full_multigrid(short, model_coeff, config)
+        assert out.vectors.tobytes() == matching.vectors.tobytes()
 
     @staticmethod
     def mixed_and_float64_runs(request, monkeypatch, problem, config):

@@ -83,10 +83,6 @@ class TestExtrapolation:
         )
         assert abs(extrapolated - 2 * PI2) <= 1e-3 * 2 * PI2
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            fg.extrapolate_reference(1.0, 1.0, beta=1.0)
-
 
 class TestComputeErrors:
     def test_exact_interpolant_has_zero_energy_error(self, small_ctx, small_hierarchy):
