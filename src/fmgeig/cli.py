@@ -21,7 +21,7 @@ import sys
 
 from .errors import SolverError
 from .eigsolver import DIRECT_TOL, DIRECT_TOL_FLOOR, SolverConfig
-from .harness import general_problem, model_problem, run_study
+from .harness import _require_coarse_dofs, general_problem, model_problem, run_study
 from .mesh import load_mesh, unit_square_mesh
 
 __all__ = ["main"]
@@ -77,6 +77,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         coarse = _parse_mesh(args.mesh)
+        _require_coarse_dofs(coarse, args.nev)  # before model_problem lists its pairs
         spec = model_problem(args.nev) if args.problem == "model" else general_problem()
         config = SolverConfig(q=args.nev, m=args.m, p=args.p, nu=args.smooth)
     except (ValueError, OSError) as exc:

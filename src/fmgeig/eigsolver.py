@@ -42,7 +42,7 @@ from .errors import ConvergenceError, DegenerateAugmentationError, SolverError
 from .fem import CoefficientField
 from .linalg import _one_blas_thread, cholesky_dense, generalized_eig_dense, sign_fix
 from .mesh import MeshHierarchy
-from .multigrid import MGContext, _check_level, _residual, build_mg_context, mg_solve
+from .multigrid import MGContext, _residual, build_mg_context, mg_solve
 
 __all__ = [
     "EigenApprox",
@@ -217,19 +217,19 @@ def _block_width(ctx: MGContext, q: int) -> tuple[int, EigenApprox]:
     return (q + int(np.argmin(lam[q - 1 : -1] / lam[q:])) if lam.size > q else q), dense
 
 
-def _sweep(ctx: MGContext, q: int, last: int, improve, on_level) -> EigenApprox:
-    """The nested sweep of both solvers, from level 0 up to ``last``.
+def _sweep(ctx: MGContext, q: int, improve, on_level) -> EigenApprox:
+    """The nested sweep of both solvers over every level of ``ctx``.
 
     Level 0's block is the first ``w`` pairs of :func:`_block_width`'s dense
     solve; every finer level starts from the block below, prolongated
     through one transfer, with its eigenvalues and work.  On every level
     ``improve(block)`` returns the block to pass up; its first ``q`` pairs,
     sign-fixed on a copy, are the level's accepted :class:`EigenApprox`,
-    given to ``on_level`` (if given).  The last level's is returned.
+    given to ``on_level`` (if given).  The finest level's is returned.
     """
     width, dense = _block_width(ctx, q)
     block = EigenApprox(0, dense.eigenvalues[:width], dense.vectors[:, :width])
-    for k in range(last + 1):
+    for k in range(ctx.n_levels):
         # Passed as a temporary, the prolongated block is freed once improve drops it.
         block = improve(block if k == 0 else EigenApprox(
             k, block.eigenvalues, ctx.transfer[k - 1] @ block.vectors, block.work_units
@@ -241,11 +241,9 @@ def _sweep(ctx: MGContext, q: int, last: int, improve, on_level) -> EigenApprox:
     return accepted
 
 
-def coarse_eigensolve(ctx: MGContext, q: int, level: int = 0) -> EigenApprox:
-    """Dense solve of the level pencil for the ``q`` smallest eigenpairs."""
-    _check_level(ctx, level)
-    a, b = ctx.stiffness[level].toarray(), ctx.mass[level].toarray()
-    return EigenApprox(level, *generalized_eig_dense(a, b, q))
+def coarse_eigensolve(ctx: MGContext, q: int) -> EigenApprox:
+    """Dense solve of level 0, from the context's dense blocks, for the ``q`` lowest pairs."""
+    return EigenApprox(0, *generalized_eig_dense(ctx.coarse_stiffness[0], ctx.coarse_mass[0], q))
 
 
 def augmented_ritz(
@@ -381,13 +379,11 @@ def full_multigrid(
             block = one_correction_step(ctx, block, config)
         return block
 
-    return _sweep(ctx, config.q, ctx.n_levels - 1, improve, on_level)
+    return _sweep(ctx, config.q, improve, on_level)
 
 
-def direct_fine_solve(
-    ctx: MGContext, q: int, tol: float, level: int | None = None, on_level=None
-) -> EigenApprox:
-    """Baseline solver: one nested LOBPCG sweep from the coarsest level to ``level``.
+def direct_fine_solve(ctx: MGContext, q: int, tol: float, on_level=None) -> EigenApprox:
+    """Baseline solver: one nested LOBPCG sweep over every level of ``ctx``.
 
     Level 0 is the dense solve of its lowest ``min(q + 3, n_0)`` pairs that
     also picks the block width ``w`` (see :func:`_block_width`).  Its ``w``
@@ -413,16 +409,13 @@ def direct_fine_solve(
     0.53 s on two threads, 0.16 to 0.19 s capped, 2-vCPU host).  The warning
     filters and the thread count are process-wide while a call runs, so
     concurrent solves take turns at LOBPCG.  ``on_level`` (if given) gets
-    each level's accepted :class:`EigenApprox`, exactly what a sweep ending
-    there returns, with the work of the sweep so far: one cycle per column
-    preconditioned.  No iterate comes from :func:`full_multigrid`.
+    each level's accepted :class:`EigenApprox`, exactly what a solve on a
+    context ending there returns, with the work of the sweep so far: one
+    cycle per column preconditioned.  No iterate comes from :func:`full_multigrid`.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and positive, got %r" % (tol,))
-    if level is None:
-        level = ctx.n_levels - 1
-    _check_level(ctx, level)
-    return _sweep(ctx, q, level, lambda block: _lobpcg_level(ctx, block, q, tol), on_level)
+    return _sweep(ctx, q, lambda block: _lobpcg_level(ctx, block, q, tol), on_level)
 
 
 def _lobpcg_level(ctx: MGContext, block: EigenApprox, q: int, tol: float) -> EigenApprox:

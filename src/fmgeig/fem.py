@@ -266,15 +266,15 @@ def assemble_pencil(
     and with every vertex the stiffness is singular for the pure gradient
     term (constants lie in its kernel).
 
-    ``coarse = (coarse_mesh, coarse_dofmap)`` names the mesh that ``mesh``
-    was refined from by :func:`~fmgeig.mesh.refine_regular`, any number of
-    times including none (``ValueError`` otherwise).  The result then also
-    holds the dense Galerkin blocks ``P' A P`` and ``P' B P``, with ``P``
-    interpolating the coarse dofs onto ``mesh``, summed from the fine
-    entries of each staging block (:func:`_galerkin_table`) and scattered on
-    the coarse mesh (:func:`_coarse_blocks`); with ``mesh`` as its own coarse
-    mesh they are the two matrices, bit for bit.  Each chunk's pair entries go straight into the edge sums; only the
-    corner entries are held per triangle, until summed per vertex.
+    ``coarse = (coarse_mesh, coarse_dofmap)`` names the mesh that ``mesh`` was
+    refined from by :func:`~fmgeig.mesh.refine_regular`, any number of times
+    including none (``ValueError`` otherwise).  The result then also holds the
+    dense Galerkin blocks ``P' A P`` and ``P' B P``, with ``P`` interpolating
+    the coarse dofs onto ``mesh``, summed from the fine entries of each staging
+    block (:func:`_galerkin_table`) and scattered on the coarse mesh
+    (:func:`_coarse_blocks`); with ``mesh`` as its own coarse mesh they are the
+    two matrices, bit for bit.  Each chunk adds its pair entries to the edge
+    sums; only corner entries are held per triangle, until summed per vertex.
     """
     levels = 0 if coarse is None else _refinements(mesh, coarse[0])
     table, run = _galerkin_table(levels), 4**levels  # run: descendants per coarse triangle

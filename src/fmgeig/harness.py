@@ -28,7 +28,7 @@ from .eigsolver import (
     direct_fine_solve,
     full_multigrid,
 )
-from .fem import CoefficientField, interpolate, laplace_coefficients, norm_a
+from .fem import CoefficientField, interior_dofmap, interpolate, laplace_coefficients, norm_a
 from .mesh import Mesh, MeshHierarchy, build_hierarchy, triangle_areas
 from .multigrid import MGContext, build_mg_context
 
@@ -266,6 +266,12 @@ def _require_unit_square(mesh: Mesh) -> None:
         )
 
 
+def _require_coarse_dofs(mesh: Mesh, q: int) -> None:
+    """Reject more pairs ``q`` than the coarse mesh has interior dofs (its dense solve's pairs)."""
+    if q > (n_0 := len(interior_dofmap(mesh))):
+        raise ValueError("%d pairs exceed the %d interior dofs of the coarse mesh" % (q, n_0))
+
+
 def run_study(
     spec: ProblemSpec,
     coarse_mesh: Mesh,
@@ -279,16 +285,16 @@ def run_study(
 
     One full multigrid pass records every level's accepted eigenpairs (the
     scheme is incremental, so these match runs with fewer levels exactly).
-    With ``compare_direct`` one nested sweep of the baseline solver records
-    its levels the same way.  A problem without exact eigenvalues always
-    runs the baseline, whose two finest levels provide the
-    Richardson-extrapolated reference for both methods.  Both methods' ``work_units`` and ``wall_ms`` are
-    cumulative from the start of their sweep.  Output is deterministic apart
-    from the wall-clock column.  A ``direct_tol`` that is not finite or lies
-    below :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` is rejected before any
-    work when the baseline runs.  The model problem (``spec.name ==
-    "model"``), whose references are the unit square's eigenvalues, is
-    rejected before any work on a mesh of another domain.
+    With ``compare_direct`` one nested sweep of the baseline solver records its
+    levels the same way.  A problem without exact eigenvalues always runs the
+    baseline, whose two finest levels provide the Richardson-extrapolated
+    reference for both methods.  Both methods' ``work_units`` and ``wall_ms``
+    are cumulative from the start of their sweep.  Output is deterministic
+    apart from the wall-clock column.  Rejected before any work: a ``config.q``
+    above the interior dofs of ``coarse_mesh``; a ``direct_tol`` that is not
+    finite or lies below :data:`~fmgeig.eigsolver.DIRECT_TOL_FLOOR` when the
+    baseline runs; and the model problem (``spec.name == "model"``), whose
+    references are the unit square's eigenvalues, on a mesh of another domain.
     """
     compare_direct = compare_direct or spec.exact_eigenvalues is None
     if compare_direct and not DIRECT_TOL_FLOOR <= direct_tol < np.inf:
@@ -298,6 +304,7 @@ def run_study(
         )
     if spec.name == "model":
         _require_unit_square(coarse_mesh)
+    _require_coarse_dofs(coarse_mesh, config.q)
     hierarchy = build_hierarchy(coarse_mesh, n_levels)
     ctx = build_mg_context(hierarchy, spec.coefficients, config.nu)
 
@@ -332,6 +339,5 @@ def run_study(
         )
         for approx, ms in direct_results
     )
-    if out_path is not None:
-        _write_csv(out_path, rows)
+    _write_csv(out_path, rows)
     return rows

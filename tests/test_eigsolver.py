@@ -120,6 +120,11 @@ def lifted_coarse_pairs(ctx, q, level):
     return EigenApprox(level, coarse.eigenvalues.copy(), vectors)
 
 
+def leading_context(hierarchy, coeff, levels):
+    """The context of the first ``levels`` levels of ``hierarchy``."""
+    return fg.build_mg_context(fg.MeshHierarchy(hierarchy.meshes[:levels]), coeff, nu=2)
+
+
 class TestConfig:
     @pytest.mark.parametrize("field", ["q", "m", "p", "nu"])
     def test_rejects_nonpositive(self, field):
@@ -908,7 +913,9 @@ class TestDirectFineSolve:
         assert np.abs(permuted_vals - vals).max() <= 1e-12 * vals.max()
         assert permuted_work == work
 
-    def test_work_is_one_cycle_per_preconditioned_column(self, general_ctx, monkeypatch):
+    def test_work_is_one_cycle_per_preconditioned_column(
+        self, general_hierarchy, general_ctx, monkeypatch
+    ):
         columns = []
 
         def spy(ctx, level, f, m):
@@ -921,13 +928,15 @@ class TestDirectFineSolve:
         assert len(columns) > 1 and max(n for _, n in columns) > 1
         # The sweep's work is cumulative: each level's columns, summed.
         assert out.work_units == sum(n * general_ctx.cycle_work(k) for k, n in columns)
-        assert fg.direct_fine_solve(general_ctx, 2, 1e-9, level=0).work_units == 0.0
+        coarse = leading_context(general_hierarchy, fg.general_problem().coefficients, 1)
+        assert fg.direct_fine_solve(coarse, 2, 1e-9).work_units == 0.0
 
     # The baseline's counterpart of the on_level contract of full_multigrid.
     @pytest.mark.parametrize("problem", ["model", "general"])
     def test_sweep_snapshots_match_shorter_sweeps(self, problem, monkeypatch):
         coeff = fg.laplace_coefficients() if problem == "model" else fg.general_problem().coefficients
-        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(4), 4), coeff, nu=2)
+        hier = fg.build_hierarchy(fg.unit_square_mesh(4), 4)
+        ctx = fg.build_mg_context(hier, coeff, nu=2)
         columns = []
 
         def spy(ctx, level, f, m):
@@ -943,7 +952,7 @@ class TestDirectFineSolve:
             preconditioned = sum(n for level, n in columns if level == k)
             assert increments[k] == preconditioned * ctx.cycle_work(k)
         for k, snapshot in enumerate(snapshots):
-            out = fg.direct_fine_solve(ctx, 2, 1e-9, level=k)
+            out = fg.direct_fine_solve(leading_context(hier, coeff, k + 1), 2, 1e-9)
             assert np.array_equal(out.eigenvalues, snapshot.eigenvalues)
             assert np.array_equal(out.vectors, snapshot.vectors)
             assert out.work_units == snapshot.work_units
@@ -1008,10 +1017,10 @@ class TestDirectFineSolve:
             raise AssertionError("lobpcg called")
 
         monkeypatch.setattr("fmgeig.eigsolver.lobpcg", never)
-        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(2), 3), model_coeff, nu=2)
-        for level in (0, 2):
+        hier = fg.build_hierarchy(fg.unit_square_mesh(2), 3)
+        for levels in (1, 3):
             with pytest.raises(ValueError, match="q must be"):
-                fg.direct_fine_solve(ctx, 2, 1e-9, level=level)
+                fg.direct_fine_solve(leading_context(hier, model_coeff, levels), 2, 1e-9)
 
     # unit_square_mesh(3) has 4 interior dofs: q + 1 for q=3, q for q=4.
     @pytest.mark.parametrize("q", [2, 3, 4])
@@ -1106,18 +1115,10 @@ class TestDirectFineSolve:
             fg.direct_fine_solve(general_ctx, 2, 1e-9)
         assert calls == [general_ctx.n_dofs(1)] * eigsolver.DIRECT_ATTEMPTS
 
-    @pytest.mark.parametrize("level", [-1, 3], ids=["negative", "past-finest"])
-    @pytest.mark.parametrize("solve", ["direct_fine_solve", "coarse_eigensolve"])
-    def test_level_out_of_range(self, model_coeff, solve, level):
-        ctx = fg.build_mg_context(fg.build_hierarchy(fg.unit_square_mesh(8), 3), model_coeff, nu=2)
-        args = (ctx, 1, 1e-9) if solve == "direct_fine_solve" else (ctx, 1)
-        with pytest.raises(ValueError, match="out of range"):
-            getattr(fg, solve)(*args, level=level)
-
     @pytest.mark.filterwarnings("error")
-    def test_q_equal_to_dofs_gives_dense_pairs(self, small_ctx):
+    def test_q_equal_to_dofs_gives_dense_pairs(self, small_hierarchy, small_ctx, model_coeff):
         n = small_ctx.n_dofs(0)
-        out = fg.direct_fine_solve(small_ctx, n, 1e-9, level=0)
+        out = fg.direct_fine_solve(leading_context(small_hierarchy, model_coeff, 1), n, 1e-9)
         vals, vecs = fg.generalized_eig_dense(
             small_ctx.stiffness[0].toarray(), small_ctx.mass[0].toarray(), n
         )
@@ -1168,18 +1169,18 @@ class TestSharedSweep:
     def test_one_dense_solve_per_call(self, model_coeff, monkeypatch):
         calls = []
 
-        def spy(ctx, q, level=0):
-            calls.append((q, level))
-            return fg.coarse_eigensolve(ctx, q, level)
+        def spy(ctx, q):
+            calls.append(q)
+            return fg.coarse_eigensolve(ctx, q)
 
         monkeypatch.setattr("fmgeig.eigsolver.coarse_eigensolve", spy)
         hier = fg.build_hierarchy(fg.unit_square_mesh(4), 1)
         ctx = fg.build_mg_context(hier, model_coeff, nu=2)
         fg.full_multigrid(hier, model_coeff, fg.SolverConfig(q=2), ctx=ctx)
-        assert calls == [(5, 0)]
+        assert calls == [5]
         calls.clear()
-        fg.direct_fine_solve(ctx, 2, 1e-9, level=0)
-        assert calls == [(5, 0)]
+        fg.direct_fine_solve(ctx, 2, 1e-9)
+        assert calls == [5]
 
     @pytest.mark.parametrize("q", [1, 2, 6, 7, 11])
     @pytest.mark.parametrize("problem", ["model", "general"])
@@ -1190,7 +1191,7 @@ class TestSharedSweep:
         ctx = fg.build_mg_context(hier, spec.coefficients, nu=2)
         fmg = []
         fg.full_multigrid(hier, spec.coefficients, fg.SolverConfig(q=q), ctx=ctx, on_level=fmg.append)
-        direct = fg.direct_fine_solve(ctx, q, 1e-9, level=0)
+        direct = fg.direct_fine_solve(ctx, q, 1e-9)
         assert np.array_equal(fmg[0].eigenvalues, direct.eigenvalues)
         assert np.array_equal(fmg[0].vectors, direct.vectors)
         out = tmp_path / "study.csv"

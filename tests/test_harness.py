@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +183,19 @@ class TestRunStudy:
                 fg.SolverConfig(), None,
             )
 
+    def test_q_above_coarse_dofs_refused_before_the_hierarchy(self, tmp_path, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("the hierarchy was built before the pair-count check")
+
+        monkeypatch.setattr("fmgeig.harness.build_hierarchy", build)
+        out = tmp_path / "study.csv"
+        # square:4 has 9 interior dofs.
+        with pytest.raises(ValueError, match="10 pairs exceed the 9 interior dofs"):
+            fg.run_study(
+                fg.general_problem(), fg.unit_square_mesh(4), 2, fg.SolverConfig(q=10), out,
+            )
+        assert not out.exists()
+
     def test_general_problem_gets_extrapolated_reference(self, tmp_path):
         rows = fg.run_study(
             fg.general_problem(), fg.unit_square_mesh(4), 3,
@@ -271,6 +286,37 @@ class TestCLI:
             "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
+
+    # square:8 has 49 interior dofs.  The check comes before the model
+    # problem lists its exact pairs (seconds and gigabytes for a huge --nev)
+    # and before the set-up of 8 levels.
+    @pytest.mark.parametrize("nev, levels", [("60", "8"), ("1000000000", "2")])
+    def test_nev_above_coarse_dofs_rejected_before_any_work(
+        self, tmp_path, monkeypatch, capsys, nev, levels
+    ):
+        def build(*args, **kwargs):
+            raise AssertionError("work began before the pair-count check")
+
+        monkeypatch.setattr("fmgeig.cli.model_problem", build)
+        monkeypatch.setattr("fmgeig.harness.build_hierarchy", build)
+        out = tmp_path / "cli.csv"
+        argv = [
+            "run", "--problem", "model", "--mesh", "square:8", "--levels", levels,
+            "--nev", nev, "--out", str(out),
+        ]
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            code = main(argv)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert elapsed < 1.0
+        assert peak < 10 * 2**20
+        assert "%s pairs exceed the 49 interior dofs" % nev in capsys.readouterr().err
         assert not out.exists()
 
     def test_direct_tol_help_states_the_floor(self, capsys, monkeypatch):
